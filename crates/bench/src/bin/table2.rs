@@ -71,6 +71,7 @@ fn main() {
     );
     println!(
         "\nκ columns are the condition measure λmax(L_H⁺L_G); the CSV adds the\n\
-         achieved values per method and inGRASS's two-sided κ (see EXPERIMENTS.md)."
+         achieved values per method and inGRASS's two-sided κ (grass_kappa,\n\
+         ingrass_kappa and ingrass_kappa_two_sided in table2.csv)."
     );
 }

@@ -133,7 +133,8 @@ pub struct CaseResult {
     /// inGRASS: condition measure achieved (λmax).
     pub ingrass_kappa: f64,
     /// inGRASS: honest two-sided κ (λmax/λmin) — reweighting pushes λmin
-    /// below 1; reported for transparency (see EXPERIMENTS.md).
+    /// below 1; reported for transparency (the `ingrass_kappa_two_sided`
+    /// column the `table2` binary writes to `table2.csv`).
     pub ingrass_kappa_two_sided: f64,
     /// Total time of the 10 inGRASS update batches (seconds).
     pub ingrass_time: f64,

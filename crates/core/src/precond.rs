@@ -15,7 +15,7 @@ use crate::lrd::LrdHierarchy;
 use crate::ordering::lrd_nested_dissection_order;
 use crate::Result;
 use ingrass_graph::DynGraph;
-use ingrass_linalg::{CsrMatrix, LinalgError, Preconditioner, SparseCholesky};
+use ingrass_linalg::{block, CsrMatrix, LinalgError, Preconditioner, SparseCholesky};
 
 /// Grounded Laplacian straight from the edge list: node `ground`'s
 /// row/column dropped, the rest re-indexed by skipping it.
@@ -350,13 +350,127 @@ impl Preconditioner for SparsifierPrecond {
             z[g as usize] = yk;
         }
     }
+
+    /// The same gather → solve → scatter for a whole block: one factor
+    /// sweep serves every column, through `scratch` instead of a fresh
+    /// vector per call.
+    fn apply_block(&self, r: &[f64], z: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        debug_assert_eq!(r.len(), self.n * k);
+        debug_assert_eq!(z.len(), self.n * k);
+        if self.n <= 1 {
+            z.fill(0.0);
+            return;
+        }
+        let y = block::scratch_slice(scratch, (self.n - 1) * k);
+        block::gather_rows(r, &self.gperm, y, k);
+        self.chol.solve_permuted_block_in_place(y, k);
+        z[self.ground * k..(self.ground + 1) * k].fill(0.0);
+        block::scatter_rows(y, &self.gperm, z, k);
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::shard::StitchedPrecond;
     use crate::{InGrassEngine, SetupConfig};
+    use ingrass_baselines::GrassSparsifier;
+    use ingrass_gen::{grid_2d, WeightModel};
     use ingrass_graph::Graph;
-    use ingrass_linalg::{pcg, CgOptions, IdentityPrecond};
+    use ingrass_linalg::{
+        pcg, pcg_block, CgOptions, CgResult, CsrMatrix, IdentityPrecond, Preconditioner,
+    };
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// For every block width 1..=17: `apply_block` equals `apply` per
+    /// column, and `pcg_block` equals per-column `pcg` — solutions and
+    /// results — bit for bit.
+    fn assert_blocked_paths_match<M: Preconditioner>(l: &CsrMatrix, pre: &M) {
+        let n = l.n_rows();
+        let ones = vec![1.0; n];
+        let opts = CgOptions::default().with_rel_tol(1e-8);
+        // Terminal pairs (column 0 is a zero right-hand side).
+        let rhss: Vec<Vec<f64>> = (0..17)
+            .map(|c| {
+                let mut b = vec![0.0; n];
+                if c > 0 {
+                    b[(5 * c) % n] += 1.0;
+                    b[(11 * c + 3) % n] -= 1.0;
+                }
+                b
+            })
+            .collect();
+        let reference: Vec<(Vec<f64>, CgResult)> = rhss
+            .iter()
+            .map(|b| {
+                let mut x = vec![0.0; n];
+                let res = pcg(l, b, &mut x, pre, Some(&ones), &opts);
+                (x, res)
+            })
+            .collect();
+        assert!(reference.iter().any(|(_, r)| r.iterations > 3));
+        let mut scratch = Vec::new();
+        for k in 1..=17 {
+            let block: Vec<f64> = (0..n * k).map(|v| (v as f64 * 0.37).sin()).collect();
+            let mut z = vec![0.0; n * k];
+            pre.apply_block(&block, &mut z, k, &mut scratch);
+            for c in 0..k {
+                let col: Vec<f64> = (0..n).map(|i| block[i * k + c]).collect();
+                let mut want = vec![0.0; n];
+                pre.apply(&col, &mut want);
+                let got: Vec<f64> = (0..n).map(|i| z[i * k + c]).collect();
+                assert_eq!(bits(&got), bits(&want), "apply_block k {k} column {c}");
+            }
+
+            let mut xs = rhss[..k].to_vec();
+            let results = pcg_block(l, &mut xs, pre, Some(&ones), &opts);
+            for (c, (x, res)) in xs.iter().zip(&results).enumerate() {
+                let (want_x, want) = &reference[c];
+                assert_eq!(
+                    (res.iterations, res.converged, res.residual_norm.to_bits()),
+                    (
+                        want.iterations,
+                        want.converged,
+                        want.residual_norm.to_bits()
+                    ),
+                    "pcg_block k {k} column {c}"
+                );
+                assert_eq!(bits(x), bits(want_x), "pcg_block k {k} column {c} x");
+            }
+        }
+    }
+
+    /// A 10×10 grid G with a 10 % off-tree GRASS sparsifier H of it.
+    fn grid_and_sparsifier() -> (Graph, Graph) {
+        let g = grid_2d(10, 10, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 3);
+        let h = GrassSparsifier::default()
+            .by_offtree_density(&g, 0.10)
+            .unwrap()
+            .graph;
+        (g, h)
+    }
+
+    #[test]
+    fn blocked_sparsifier_precond_matches_pcg_bitwise() {
+        let (g, h) = grid_and_sparsifier();
+        let engine = InGrassEngine::setup(&h, &SetupConfig::default()).unwrap();
+        let pre = engine.preconditioner().unwrap();
+        assert_blocked_paths_match(&g.laplacian(), &pre);
+    }
+
+    #[test]
+    fn blocked_stitched_precond_matches_pcg_bitwise() {
+        let (g, h) = grid_and_sparsifier();
+        // Quadrants of the grid as four shards.
+        let shard_of: Vec<u32> = (0..100u32)
+            .map(|v| (v % 10) / 5 + 2 * ((v / 10) / 5))
+            .collect();
+        let pre = StitchedPrecond::build(&h, &shard_of, 4, 0, 1).unwrap();
+        assert!(pre.boundary_nodes() > 0);
+        assert_blocked_paths_match(&g.laplacian(), &pre);
+    }
 
     fn ring_with_chords() -> Graph {
         let n = 24;

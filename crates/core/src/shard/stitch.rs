@@ -25,7 +25,7 @@
 use crate::error::InGrassError;
 use crate::Result;
 use ingrass_graph::Graph;
-use ingrass_linalg::{CsrMatrix, DenseMatrix, Preconditioner, SparseCholesky};
+use ingrass_linalg::{block, CsrMatrix, DenseMatrix, Preconditioner, SparseCholesky};
 
 /// Node classes of the block partition.
 const CLASS_GROUND: u8 = 0;
@@ -46,6 +46,13 @@ pub struct StitchedPrecond {
     interiors: Vec<Vec<u32>>,
     /// Interior factor per shard (`None` for an empty interior).
     chols: Vec<Option<SparseCholesky>>,
+    /// Per shard: the global node of each interior factor pivot, in
+    /// elimination order — the row map that gathers a block straight into
+    /// the factor's permuted basis.
+    pivots: Vec<Vec<u32>>,
+    /// Per shard: interior slot → pivot position (the inverse of the
+    /// factor's ordering), for coupling entries in the permuted basis.
+    pivot_of: Vec<Vec<u32>>,
     /// Per shard: coupling entries `(interior slot, boundary slot, w)`
     /// for every sparsifier edge between that shard's interior and the
     /// boundary set.
@@ -224,12 +231,28 @@ impl StitchedPrecond {
             None
         };
 
+        let (pivots, pivot_of) = interiors
+            .iter()
+            .zip(&factors)
+            .map(|(interior, chol)| {
+                let order = chol.as_ref().map_or(&[][..], |c| c.ordering());
+                let mut pivot_of = vec![0u32; interior.len()];
+                for (k, &slot) in order.iter().enumerate() {
+                    pivot_of[slot as usize] = k as u32;
+                }
+                let pivots = order.iter().map(|&slot| interior[slot as usize]).collect();
+                (pivots, pivot_of)
+            })
+            .unzip();
+
         Ok(StitchedPrecond {
             n,
             epoch,
             boundary,
             interiors,
             chols: factors,
+            pivots,
+            pivot_of,
             coupling,
             schur,
         })
@@ -276,24 +299,11 @@ impl StitchedPrecond {
         sparse + nb * nb * nb / 3.0
     }
 
-    /// Solves with the cached dense lower factor: forward then backward
-    /// substitution (`L Lᵀ x = b`).
-    fn schur_solve(&self, b: &mut [f64]) {
-        let Some(l) = &self.schur else { return };
-        let nb = b.len();
-        for i in 0..nb {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= l.get(i, j) * b[j];
-            }
-            b[i] = acc / l.get(i, i);
-        }
-        for i in (0..nb).rev() {
-            let mut acc = b[i];
-            for j in i + 1..nb {
-                acc -= l.get(j, i) * b[j];
-            }
-            b[i] = acc / l.get(i, i);
+    /// Solves `S x = b` in place for a block of `k` columns with the cached
+    /// dense lower factor (no-op for an empty boundary).
+    fn schur_solve(&self, b: &mut [f64], k: usize) {
+        if let Some(l) = &self.schur {
+            l.cholesky_solve_block_in_place(b, k);
         }
     }
 
@@ -338,7 +348,7 @@ impl Preconditioner for StitchedPrecond {
                 xb[b as usize] += w * ys[sh][i as usize];
             }
         }
-        self.schur_solve(&mut xb);
+        self.schur_solve(&mut xb, 1);
 
         // 3. Correction pass x_s = A_s⁻¹ (r_s − E_s x_B) and scatter.
         z[0] = 0.0;
@@ -359,6 +369,72 @@ impl Preconditioner for StitchedPrecond {
             for (i, &u) in interior.iter().enumerate() {
                 z[u as usize] = x[i];
             }
+        }
+    }
+
+    /// The same three steps for a whole block, without the per-column
+    /// gathers: each shard's rows are gathered straight into its factor's
+    /// permuted basis and swept once for every column, couplings update
+    /// all columns per entry, and the boundary system is one blocked dense
+    /// solve. Pre-solves and correction share one region of `scratch`,
+    /// the boundary block the other.
+    fn apply_block(&self, r: &[f64], z: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        debug_assert_eq!(r.len(), self.n * k);
+        debug_assert_eq!(z.len(), self.n * k);
+        if self.n <= 1 {
+            z.fill(0.0);
+            return;
+        }
+        let interior_rows: usize = self.pivots.iter().map(Vec::len).sum();
+        let work = block::scratch_slice(scratch, (interior_rows + self.boundary.len()) * k);
+        let (ys, xb) = work.split_at_mut(interior_rows * k);
+
+        // 1. Per-shard interior pre-solves y_s = A_s⁻¹ r_s (pivot order).
+        let mut at = 0;
+        for (sh, chol) in self.chols.iter().enumerate() {
+            let rows = &self.pivots[sh];
+            let y = &mut ys[at..at + rows.len() * k];
+            at += rows.len() * k;
+            if let Some(chol) = chol {
+                block::gather_rows(r, rows, y, k);
+                chol.solve_permuted_block_in_place(y, k);
+            }
+        }
+
+        // 2. Boundary solve x_B = S⁻¹ (r_B − Σ E_sᵀ y_s).
+        block::gather_rows(r, &self.boundary, xb, k);
+        let mut at = 0;
+        for sh in 0..self.chols.len() {
+            let y = &ys[at..at + self.pivots[sh].len() * k];
+            at += y.len();
+            for &(i, b, w) in &self.coupling[sh] {
+                let (yi, bi) = (self.pivot_of[sh][i as usize] as usize * k, b as usize * k);
+                for c in 0..k {
+                    // −E[i,b]·y[i] with E[i,b] = −w.
+                    xb[bi + c] += w * y[yi + c];
+                }
+            }
+        }
+        self.schur_solve(xb, k);
+
+        // 3. Correction pass x_s = A_s⁻¹ (r_s − E_s x_B) and scatter.
+        z[..k].fill(0.0);
+        block::scatter_rows(xb, &self.boundary, z, k);
+        let mut at = 0;
+        for (sh, chol) in self.chols.iter().enumerate() {
+            let rows = &self.pivots[sh];
+            let t = &mut ys[at..at + rows.len() * k];
+            at += rows.len() * k;
+            let Some(chol) = chol else { continue };
+            block::gather_rows(r, rows, t, k);
+            for &(i, b, w) in &self.coupling[sh] {
+                let (ti, bi) = (self.pivot_of[sh][i as usize] as usize * k, b as usize * k);
+                for c in 0..k {
+                    t[ti + c] += w * xb[bi + c];
+                }
+            }
+            chol.solve_permuted_block_in_place(t, k);
+            block::scatter_rows(t, rows, z, k);
         }
     }
 }

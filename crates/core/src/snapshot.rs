@@ -100,6 +100,13 @@ impl Preconditioner for SnapshotPrecond {
             SnapshotPrecond::Sharded(p) => p.apply(r, z),
         }
     }
+
+    fn apply_block(&self, r: &[f64], z: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        match self {
+            SnapshotPrecond::Mono(p) => p.apply_block(r, z, k, scratch),
+            SnapshotPrecond::Sharded(p) => p.apply_block(r, z, k, scratch),
+        }
+    }
 }
 
 /// Aggregate resistance statistics of a snapshot's sparsifier, computed

@@ -129,7 +129,8 @@ impl TestCase {
     }
 
     /// GRASS runtime reported in paper Table I (seconds) — for the
-    /// paper-vs-measured comparison in EXPERIMENTS.md.
+    /// paper-vs-measured comparison the `table1` binary prints (its
+    /// `paper_grass_s` column).
     pub fn paper_grass_seconds(self) -> f64 {
         match self {
             TestCase::G3Circuit => 18.7,

@@ -2,7 +2,7 @@
 
 use crate::op::LinearOperator;
 use crate::vector::{axpy, dot, norm2, project_out};
-use crate::CsrMatrix;
+use crate::{BlockPcg, CsrMatrix};
 
 /// A symmetric positive (semi-)definite preconditioner `M ≈ A`, applied as
 /// `z ← M⁻¹ r`.
@@ -16,6 +16,25 @@ pub trait Preconditioner {
 
     /// Computes `z ← M⁻¹ r`.
     fn apply(&self, r: &[f64], z: &mut [f64]);
+
+    /// Computes `Z ← M⁻¹ R` for a block of `k` residuals stored row-major
+    /// (entry `(i, c)` at `i * k + c`; see [`crate::block`]).
+    ///
+    /// Each column of `z` must be bit-identical to
+    /// [`Preconditioner::apply`] on that column alone — [`crate::pcg_block`]
+    /// relies on it. `scratch` is caller-owned working memory reused
+    /// across calls; implementations grow it as needed, so a steady-state
+    /// call allocates nothing. The provided method gathers one column at a
+    /// time, applies [`Preconditioner::apply`] and scatters the result
+    /// back; override it when one pass over the preconditioner can serve
+    /// every column (as [`crate::SparseCholesky`] does).
+    ///
+    /// # Panics
+    /// Implementations may panic if `r.len()` or `z.len()` differ from
+    /// `self.dim() * k`.
+    fn apply_block(&self, r: &[f64], z: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        crate::block::per_column(self.dim(), r, z, k, scratch, |rc, zc| self.apply(rc, zc));
+    }
 }
 
 impl<T: Preconditioner + ?Sized> Preconditioner for &T {
@@ -25,6 +44,10 @@ impl<T: Preconditioner + ?Sized> Preconditioner for &T {
 
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z)
+    }
+
+    fn apply_block(&self, r: &[f64], z: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        (**self).apply_block(r, z, k, scratch)
     }
 }
 
@@ -252,9 +275,12 @@ where
 ///
 /// This is the batched form the embedding estimators use: the JL sketch and
 /// the condition estimator all issue `O(log n)` independent Laplacian solves
-/// against one fixed operator/preconditioner pair. Results are **bit-for-bit
-/// identical to calling [`pcg`] in a serial loop**, at any thread count —
-/// each solve touches only its own vectors, and outputs are placed back by
+/// against one fixed operator/preconditioner pair. The batch is split into
+/// `min(threads, len)` contiguous, near-equal blocks
+/// ([`ingrass_par::split_even`]), and each worker solves its block with the
+/// [`crate::pcg_block`] kernel. Results are **bit-for-bit identical to
+/// calling [`pcg`] in a serial loop**, at any thread count: the block
+/// kernel reproduces every column exactly, and outputs are placed back by
 /// batch index (see `ingrass-par`).
 ///
 /// # Panics
@@ -272,11 +298,20 @@ where
     A: LinearOperator + Sync + ?Sized,
     M: Preconditioner + Sync + ?Sized,
 {
-    ingrass_par::par_map_with(threads, rhss, |b| {
-        let mut x = vec![0.0; a.dim()];
-        let res = pcg(a, b, &mut x, precond, deflate, opts);
-        (x, res)
-    })
+    // Each block's solutions and workspace are allocated here, on the
+    // calling thread (see `BlockPcg`); the workers only compute.
+    let mut blocks: Vec<(BlockPcg, Vec<Vec<f64>>)> = ingrass_par::split_even(rhss.len(), threads)
+        .into_iter()
+        .map(|cols| (BlockPcg::new(a.dim(), cols.len()), rhss[cols].to_vec()))
+        .collect();
+    let results = ingrass_par::par_map_mut_with(threads, &mut blocks, |(pcg, xs)| {
+        pcg.solve(a, xs, precond, deflate, opts)
+    });
+    blocks
+        .into_iter()
+        .zip(results)
+        .flat_map(|((_, xs), res)| xs.into_iter().zip(res))
+        .collect()
 }
 
 #[cfg(test)]

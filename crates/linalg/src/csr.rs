@@ -1,5 +1,6 @@
 //! Compressed sparse row matrices.
 
+use crate::block::{tile, tile_mut, tiles, with_lanes};
 use crate::op::LinearOperator;
 
 /// A sparse matrix in compressed sparse row (CSR) format.
@@ -264,6 +265,32 @@ impl LinearOperator for CsrMatrix {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.matvec(x, y);
+    }
+
+    /// One pass over the rows serves every column: each stored entry is
+    /// read once per register tile instead of once per vector.
+    fn apply_block(&self, x: &[f64], y: &mut [f64], k: usize, _scratch: &mut Vec<f64>) {
+        assert_eq!(x.len(), self.n_cols * k, "matvec block: x dimension");
+        assert_eq!(y.len(), self.n_rows * k, "matvec block: y dimension");
+        for (c0, w) in tiles(k) {
+            with_lanes!(w, matvec_tile(self, x, y, k, c0));
+        }
+    }
+}
+
+/// [`CsrMatrix::matvec`] on columns `c0..c0 + W` of `k`-column blocks,
+/// with the same per-column operation order.
+fn matvec_tile<const W: usize>(m: &CsrMatrix, x: &[f64], y: &mut [f64], k: usize, c0: usize) {
+    for r in 0..m.n_rows {
+        let (lo, hi) = (m.indptr[r], m.indptr[r + 1]);
+        let mut acc = [0.0f64; W];
+        for (&j, &a) in m.indices[lo..hi].iter().zip(&m.data[lo..hi]) {
+            let xj = tile::<W>(x, j as usize * k + c0);
+            for c in 0..W {
+                acc[c] += a * xj[c];
+            }
+        }
+        *tile_mut::<W>(y, r * k + c0) = acc;
     }
 }
 

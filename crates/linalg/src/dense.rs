@@ -5,6 +5,7 @@
 //! tridiagonal eigenproblems produced by Lanczos. They are not meant for the
 //! large graphs the sparse path handles.
 
+use crate::block::{tile, tile_mut, tiles, with_lanes};
 use crate::csr::CsrMatrix;
 use crate::error::LinalgError;
 
@@ -182,6 +183,30 @@ impl DenseMatrix {
         Ok(y)
     }
 
+    /// Solves `L Lᵀ X = B` in place, with `self` taken as the lower
+    /// Cholesky factor `L` (as returned by [`DenseMatrix::cholesky`]), for
+    /// a block of `k` right-hand sides stored row-major (entry `(i, c)` at
+    /// `i * k + c`; see [`crate::block`]).
+    ///
+    /// Per column this is forward then back substitution with the
+    /// substitution sums accumulated in ascending index order — the same
+    /// operations as the solve step of [`DenseMatrix::solve_spd`] — while
+    /// each factor entry is read once per register tile of columns.
+    ///
+    /// # Panics
+    /// Panics if `self` is not square or `b.len()` differs from
+    /// `n_rows × k`.
+    pub fn cholesky_solve_block_in_place(&self, b: &mut [f64], k: usize) {
+        assert_eq!(
+            self.n_rows, self.n_cols,
+            "cholesky solve: factor not square"
+        );
+        assert_eq!(b.len(), self.n_rows * k, "cholesky solve: block dimension");
+        for (c0, w) in tiles(k) {
+            with_lanes!(w, lower_solve_tile(self, b, k, c0));
+        }
+    }
+
     /// Symmetric eigendecomposition via cyclic Jacobi rotations.
     ///
     /// Returns `(eigenvalues, eigenvectors)` with eigenvalues sorted in
@@ -303,6 +328,35 @@ impl DenseMatrix {
             }
         }
         Ok(x)
+    }
+}
+
+/// [`DenseMatrix::cholesky_solve_block_in_place`] on columns
+/// `c0..c0 + W` of a `k`-column block.
+fn lower_solve_tile<const W: usize>(l: &DenseMatrix, b: &mut [f64], k: usize, c0: usize) {
+    let n = l.n_rows;
+    for i in 0..n {
+        let mut acc = *tile::<W>(b, i * k + c0);
+        for (j, &lij) in l.data[i * n..i * n + i].iter().enumerate() {
+            let bj = tile::<W>(b, j * k + c0);
+            for c in 0..W {
+                acc[c] -= lij * bj[c];
+            }
+        }
+        let d = l.data[i * n + i];
+        *tile_mut::<W>(b, i * k + c0) = acc.map(|a| a / d);
+    }
+    for i in (0..n).rev() {
+        let mut acc = *tile::<W>(b, i * k + c0);
+        for j in i + 1..n {
+            let lji = l.data[j * n + i];
+            let bj = tile::<W>(b, j * k + c0);
+            for c in 0..W {
+                acc[c] -= lji * bj[c];
+            }
+        }
+        let d = l.data[i * n + i];
+        *tile_mut::<W>(b, i * k + c0) = acc.map(|a| a / d);
     }
 }
 

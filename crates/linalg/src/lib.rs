@@ -10,7 +10,10 @@
 //!   for exact effective-resistance references on small graphs.
 //! * [`pcg`] — preconditioned conjugate gradients with pluggable
 //!   [`Preconditioner`]s (identity, Jacobi; the spanning-tree preconditioner
-//!   lives in `ingrass-graph` because it needs a tree).
+//!   lives in `ingrass-graph` because it needs a tree), and [`pcg_block`],
+//!   its multi-right-hand-side form: one operator and one preconditioner
+//!   pass per iteration for a whole block of columns ([`block`]), each
+//!   column bit-identical to [`pcg`] on it alone.
 //! * [`SparseCholesky`] / [`min_degree_order`] — sparse `L Lᵀ` factorisation
 //!   with an AMD-lite fill-reducing ordering; a factor is itself a
 //!   [`Preconditioner`], which is how `ingrass-solve` turns the sparsifier
@@ -44,7 +47,9 @@
 
 #![deny(missing_docs)]
 
+pub mod block;
 mod cg;
+mod cg_block;
 mod cholesky;
 mod csr;
 mod dense;
@@ -54,6 +59,7 @@ mod op;
 pub mod vector;
 
 pub use cg::{pcg, pcg_multi, CgOptions, CgResult, IdentityPrecond, JacobiPrecond, Preconditioner};
+pub use cg_block::{pcg_block, BlockPcg};
 pub use cholesky::{
     min_degree_order, min_degree_order_with_hints, min_degree_order_with_priority, CholeskyState,
     SparseCholesky,

@@ -17,6 +17,24 @@ pub trait LinearOperator {
     /// `y.len() != self.dim()`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
 
+    /// Computes `Y ← A·X` for a block of `k` vectors stored row-major
+    /// (entry `(i, c)` at `i * k + c`; see [`crate::block`]).
+    ///
+    /// Each column of `y` must be bit-identical to
+    /// [`LinearOperator::apply`] on that column alone — [`crate::pcg_block`]
+    /// relies on it. `scratch` is caller-owned working memory reused
+    /// across calls; implementations grow it as needed. The provided
+    /// method gathers one column at a time, applies
+    /// [`LinearOperator::apply`] and scatters the result back; override it
+    /// when one pass over the operator can serve every column.
+    ///
+    /// # Panics
+    /// Implementations may panic if `x.len()` or `y.len()` differ from
+    /// `self.dim() * k`.
+    fn apply_block(&self, x: &[f64], y: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        crate::block::per_column(self.dim(), x, y, k, scratch, |xc, yc| self.apply(xc, yc));
+    }
+
     /// Allocating convenience wrapper around [`LinearOperator::apply`].
     fn apply_alloc(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.dim()];
@@ -32,6 +50,10 @@ impl<T: LinearOperator + ?Sized> LinearOperator for &T {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         (**self).apply(x, y)
+    }
+
+    fn apply_block(&self, x: &[f64], y: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        (**self).apply_block(x, y, k, scratch)
     }
 }
 

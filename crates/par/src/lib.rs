@@ -145,6 +145,27 @@ where
     par_map_range_with(threads, items.len(), |i| f(&items[i]))
 }
 
+/// Maps `f` over a mutable slice on `threads` workers, preserving order:
+/// each item is lent to exactly one worker at a time.
+///
+/// For work whose state is built on the calling thread — buffers,
+/// workspaces — and filled in by the workers.
+pub fn par_map_mut_with<T, U, F>(threads: usize, items: &mut [T], f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(&mut T) -> U + Sync,
+{
+    let cells: Vec<std::sync::Mutex<&mut T>> =
+        items.iter_mut().map(std::sync::Mutex::new).collect();
+    par_map_with(threads, &cells, |cell| {
+        // Each index is visited once, so the lock is never contended, and
+        // a panic in `f` re-panics on the caller before any cell is reused.
+        let mut item = cell.lock().expect("each item is mapped once");
+        f(&mut item)
+    })
+}
+
 /// Maps `f` over a slice at the ambient [`num_threads`] width, preserving
 /// order.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
@@ -154,6 +175,34 @@ where
     F: Fn(&T) -> U + Sync,
 {
     par_map_with(num_threads(), items, f)
+}
+
+/// Splits `0..len` into `min(parts, len)` contiguous ranges whose lengths
+/// differ by at most one (the longer ones first) — the block partition the
+/// multi-right-hand-side solve paths hand to [`par_map_with`], so each
+/// worker advances one contiguous run of columns together.
+///
+/// `parts == 0` is treated as 1; `len == 0` yields no ranges.
+///
+/// ```
+/// assert_eq!(ingrass_par::split_even(7, 3), vec![0..3, 3..5, 5..7]);
+/// assert_eq!(ingrass_par::split_even(2, 4), vec![0..1, 1..2]);
+/// ```
+pub fn split_even(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let parts = parts.clamp(1, len);
+    let (base, extra) = (len / parts, len % parts);
+    let mut start = 0;
+    (0..parts)
+        .map(|i| {
+            let end = start + base + usize::from(i < extra);
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
 }
 
 /// Below this many items, [`par_map_auto`] stays serial: its call sites do
@@ -233,6 +282,38 @@ mod tests {
         let empty: [u8; 0] = [];
         let v: Vec<u32> = par_map_with(4, &empty, |_| unreachable!("no items"));
         assert!(v.is_empty());
+    }
+
+    #[test]
+    fn split_even_covers_the_range_in_near_equal_runs() {
+        for len in 0..40 {
+            for parts in 0..10 {
+                let ranges = split_even(len, parts);
+                assert_eq!(ranges.len(), parts.max(1).min(len));
+                let mut next = 0;
+                for r in &ranges {
+                    assert_eq!(r.start, next, "contiguous");
+                    assert!(!r.is_empty());
+                    next = r.end;
+                }
+                assert_eq!(next, len, "covers 0..{len}");
+                let lens: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+                assert!(lens.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
+            }
+        }
+    }
+
+    #[test]
+    fn mutable_map_lends_each_item_once() {
+        for threads in [1, 2, 4] {
+            let mut items: Vec<u64> = (0..37).collect();
+            let out = par_map_mut_with(threads, &mut items, |v| {
+                *v *= 3;
+                *v + 1
+            });
+            assert_eq!(items, (0..37).map(|v| 3 * v).collect::<Vec<u64>>());
+            assert_eq!(out, (0..37).map(|v| 3 * v + 1).collect::<Vec<u64>>());
+        }
     }
 
     #[test]

@@ -15,15 +15,18 @@
 //!   multi-RHS batch shape the PCG layer is built for;
 //! * **draining is `&self` too** — [`drain`](ConcurrentSolveService::drain)
 //!   takes the pending groups out under the lock, then solves them
-//!   *outside* the lock, fanning the admitted requests out across
-//!   `ingrass-par` workers ([`ingrass_par::par_map_with`] at the
-//!   configured width — the pool's dynamic cursor load-balances uneven
-//!   groups). Submissions arriving during a drain simply land in the next
-//!   round.
+//!   *outside* the lock: each group is cut into `min(threads, len)`
+//!   contiguous blocks of requests, every block is one blocked PCG run
+//!   ([`ingrass_linalg::pcg_block`] — one Laplacian product and one
+//!   factor sweep per iteration for the whole block), and all groups'
+//!   blocks share one [`ingrass_par::par_map_with`] at the configured
+//!   width (the pool's dynamic cursor load-balances uneven groups).
+//!   Submissions arriving during a drain simply land in the next round.
 //!
-//! Results are deterministic: each request is solved independently from a
-//! zero initial guess, so the answers are bit-for-bit identical at any
-//! worker width and any submission interleaving — only the grouping (and
+//! Results are deterministic: every request starts from a zero initial
+//! guess and the block kernel reproduces the single-request solve bit for
+//! bit, so the answers are identical at any worker width, any block
+//! composition and any submission interleaving — only the grouping (and
 //! therefore throughput) depends on timing.
 //!
 //! Each request is preconditioned by its snapshot's own grounded factor.
@@ -33,11 +36,12 @@
 //! with — serving never observes a half-applied update, and a patched
 //! factor preconditions exactly like a fresh one.
 
-use crate::service::{PrecondKind, SolveConfig};
+use crate::service::{Block, PrecondKind, SolveConfig};
 use ingrass::{PhaseTimer, SparsifierSnapshot};
 use ingrass_linalg::{CgResult, CsrMatrix};
 use ingrass_metrics::{LatencyHistogram, LatencySummary};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifies one submitted request; [`Served`] results carry it back.
@@ -69,10 +73,12 @@ pub struct DrainReport {
     pub groups: usize,
     /// Wall seconds the round spent solving.
     pub solve_seconds: f64,
-    /// Per-request solve wall time (each request timed individually on
-    /// its worker), as a log-scale histogram — the round's latency
-    /// *distribution*, where [`DrainReport::solve_seconds`] is only the
-    /// round's span.
+    /// Per-request solve wall time, as a log-scale histogram — the round's
+    /// latency *distribution*, where [`DrainReport::solve_seconds`] is only
+    /// the round's span. Requests are solved in blocks
+    /// ([`ConcurrentSolveService::drain`]), so each request records the
+    /// wall time of the block that answered it: one sample per request,
+    /// equal within a block.
     pub request_latency: LatencyHistogram,
 }
 
@@ -240,6 +246,9 @@ impl ConcurrentSolveService {
     /// # Errors
     /// * [`crate::SolveError::Dimension`] if the Laplacian or right-hand
     ///   side shape disagrees with the snapshot's node count.
+    /// * [`crate::SolveError::NonFinite`] if the right-hand side holds a
+    ///   NaN or infinite entry; like the shape checks, this runs before the
+    ///   queue is touched, so no ticket is consumed.
     /// * [`crate::SolveError::QueueFull`] if [`SolveConfig::max_pending`]
     ///   is set and that many requests are already pending; the request
     ///   is counted in [`ConcurrentSolveStats::rejected_full`] and never
@@ -250,7 +259,11 @@ impl ConcurrentSolveService {
         laplacian: &Arc<CsrMatrix>,
         rhs: Vec<f64>,
     ) -> crate::Result<Ticket> {
-        crate::service::check_dims(snapshot.num_nodes(), laplacian, std::slice::from_ref(&rhs))?;
+        crate::service::check_operands(
+            snapshot.num_nodes(),
+            laplacian,
+            std::slice::from_ref(&rhs),
+        )?;
         let mut inner = self.lock();
         if let Some(cap) = self.cfg.max_pending {
             if inner.pending >= cap {
@@ -297,12 +310,18 @@ impl ConcurrentSolveService {
     /// admission (ticket) order.
     ///
     /// The pending groups are taken out under the lock; the solves run
-    /// with the lock *released*, distributed over the configured worker
-    /// width (`SolveConfig::threads`, default the ambient `ingrass-par`
-    /// width) — submitters are never blocked by a running drain. Each
-    /// request gets the same treatment as [`crate::SolveService`]: `1⊥`
-    /// projection, constant deflation, the snapshot's exact factor as the
-    /// preconditioner. Non-convergence is reported per request, not as an
+    /// with the lock *released* — submitters are never blocked by a
+    /// running drain. Each admission group is cut into `min(threads, len)`
+    /// contiguous, near-equal blocks of requests, and the blocks of every
+    /// group share one pass over the configured worker width
+    /// (`SolveConfig::threads`, default the ambient `ingrass-par` width).
+    /// A block is one blocked PCG run ([`ingrass_linalg::pcg_block`]): each
+    /// iteration reads the Laplacian and the snapshot's factor once for
+    /// all of its requests. Each request gets the same treatment as
+    /// [`crate::SolveService`] — `1⊥` projection, constant deflation, the
+    /// snapshot's exact factor as the preconditioner — and its answer is
+    /// bit-identical to solving it alone, at any width and whatever shares
+    /// its block. Non-convergence is reported per request, not as an
     /// error.
     ///
     /// If a solve **panics** mid-round, every taken-out group is put back
@@ -311,22 +330,17 @@ impl ConcurrentSolveService {
     /// undercounts, and the next drain serves the restored requests
     /// (still in ticket order).
     pub fn drain(&self) -> DrainReport {
-        self.drain_with(|g, ri| {
-            crate::service::solve_projected(
-                &g.laplacian,
-                &g.rhss[ri],
-                g.snapshot.preconditioner(),
-                &self.cfg.cg,
-            )
+        self.drain_with(|g, block| {
+            block.solve(&g.laplacian, g.snapshot.preconditioner(), &self.cfg.cg)
         })
     }
 
-    /// [`ConcurrentSolveService::drain`] with the per-request solver
-    /// factored out, so tests can exercise the restore-on-panic path with
-    /// an injected fault.
+    /// [`ConcurrentSolveService::drain`] with the per-block solver factored
+    /// out, so tests can exercise the restore-on-panic path with an
+    /// injected fault.
     fn drain_with<F>(&self, solve: F) -> DrainReport
     where
-        F: Fn(&Group, usize) -> (Vec<f64>, CgResult) + Sync,
+        F: Fn(&Group, &mut Block) -> Vec<CgResult> + Sync,
     {
         let groups: Vec<Group> = {
             let mut inner = self.lock();
@@ -343,24 +357,33 @@ impl ConcurrentSolveService {
             };
         }
 
-        // Flatten to (group, rhs) tasks: groups of any skew share one
-        // worker pool instead of serializing per group.
-        let tasks: Vec<(usize, usize)> = groups
+        // Cut every group into min(threads, len) contiguous blocks. They
+        // are built here, on the draining thread, so their memory is this
+        // thread's to reuse between rounds (see `BlockPcg`), and all
+        // groups' blocks share one worker pool, so groups of any skew
+        // spread over the workers instead of serializing per group.
+        let threads = self.cfg.threads.unwrap_or_else(ingrass_par::num_threads);
+        let mut blocks: Vec<(usize, Range<usize>, Block)> = groups
             .iter()
             .enumerate()
-            .flat_map(|(gi, g)| (0..g.rhss.len()).map(move |ri| (gi, ri)))
+            .flat_map(|(gi, g)| {
+                ingrass_par::split_even(g.rhss.len(), threads)
+                    .into_iter()
+                    .map(move |cols| {
+                        let block = Block::new(g.laplacian.n_rows(), &g.rhss[cols.clone()]);
+                        (gi, cols, block)
+                    })
+            })
             .collect();
-        let threads = self.cfg.threads.unwrap_or_else(ingrass_par::num_threads);
         let timer = PhaseTimer::start();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ingrass_par::par_map_with(threads, &tasks, |&(gi, ri)| {
-                let g = &groups[gi];
-                let one = PhaseTimer::start();
-                let (x, result) = solve(g, ri);
-                (x, result, one.total().as_secs_f64())
+            ingrass_par::par_map_mut_with(threads, &mut blocks, |(gi, _, block)| {
+                let wall = PhaseTimer::start();
+                let results = solve(&groups[*gi], block);
+                (results, wall.total().as_secs_f64())
             })
         }));
-        let solved: Vec<(Vec<f64>, CgResult, f64)> = match run {
+        let solved = match run {
             Ok(solved) => solved,
             // A panicking solve served nobody: put every taken-out group
             // back (ahead of anything submitted meanwhile) so the queue
@@ -374,20 +397,20 @@ impl ConcurrentSolveService {
         let solve_seconds = timer.total().as_secs_f64();
 
         let mut request_latency = LatencyHistogram::new();
-        let mut served: Vec<Served> = tasks
-            .iter()
-            .zip(solved)
-            .map(|(&(gi, ri), (x, result, wall))| {
+        let mut served = Vec::with_capacity(blocks.iter().map(|(_, cols, _)| cols.len()).sum());
+        for ((gi, cols, block), (results, wall)) in blocks.into_iter().zip(solved) {
+            let g = &groups[gi];
+            for ((ri, x), result) in cols.zip(block.xs).zip(results) {
                 request_latency.record(wall);
-                Served {
-                    ticket: Ticket(groups[gi].tickets[ri]),
-                    epoch: groups[gi].snapshot.epoch(),
-                    version: groups[gi].snapshot.version(),
+                served.push(Served {
+                    ticket: Ticket(g.tickets[ri]),
+                    epoch: g.snapshot.epoch(),
+                    version: g.snapshot.version(),
                     x,
                     result,
-                }
-            })
-            .collect();
+                });
+            }
+        }
         served.sort_by_key(|s| s.ticket);
 
         let mut inner = self.lock();
@@ -457,7 +480,7 @@ pub const SNAPSHOT_PRECOND: PrecondKind = PrecondKind::Cholesky;
 mod tests {
     use super::*;
     use crate::SolveError;
-    use ingrass::{SetupConfig, SnapshotEngine, UpdateConfig, UpdateOp};
+    use ingrass::{SetupConfig, SnapshotEngine, SparsifierSnapshot, UpdateConfig, UpdateOp};
     use ingrass_graph::Graph;
 
     fn ring(n: usize) -> Graph {
@@ -588,6 +611,127 @@ mod tests {
             })
         ));
         assert_eq!(svc.pending(), 0, "rejected requests must not queue");
+    }
+
+    #[test]
+    fn non_finite_rhs_is_rejected_before_admission() {
+        let engine = SnapshotEngine::setup(&ring(12), &SetupConfig::default()).unwrap();
+        let snap = engine.snapshot();
+        let lap = snap.laplacian_arc();
+        let svc = ConcurrentSolveService::new(SolveConfig::default());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = pair_rhs(12, 0, 6);
+            b[4] = bad;
+            b[9] = f64::NAN;
+            match svc.submit(&snap, &lap, b) {
+                Err(SolveError::NonFinite { rhs, index, value }) => {
+                    assert_eq!((rhs, index), (0, 4), "names the first bad entry");
+                    assert_eq!(value.to_bits(), bad.to_bits());
+                }
+                other => panic!("non-finite rhs admitted: {other:?}"),
+            }
+        }
+        assert_eq!(svc.pending(), 0, "rejected requests must not queue");
+        assert_eq!(svc.stats().submitted, 0);
+        // No ticket was consumed.
+        let t = svc.submit(&snap, &lap, pair_rhs(12, 0, 6)).unwrap();
+        assert_eq!(t, Ticket(0));
+    }
+
+    /// Single-request reference: the serving recipe spelled out with the
+    /// one-vector `pcg`.
+    fn reference_solve(
+        snap: &SparsifierSnapshot,
+        lap: &CsrMatrix,
+        rhs: &[f64],
+        cg: &ingrass_linalg::CgOptions,
+    ) -> (Vec<f64>, CgResult) {
+        let n = lap.n_rows();
+        let mean = rhs.iter().sum::<f64>() / n as f64;
+        let b: Vec<f64> = rhs.iter().map(|v| v - mean).collect();
+        let mut x = vec![0.0; n];
+        let ones = vec![1.0; n];
+        let res = ingrass_linalg::pcg(lap, &b, &mut x, snap.preconditioner(), Some(&ones), cg);
+        (x, res)
+    }
+
+    #[test]
+    fn blocked_drain_of_two_groups_matches_single_solves_at_any_width() {
+        // The served system is denser than the sparsifier, so PCG takes
+        // several (and differing) iterations per request.
+        let n = 32;
+        let h = ring(n);
+        let mut edges: Vec<(usize, usize, f64)> = h
+            .edges()
+            .iter()
+            .map(|e| (e.u.index(), e.v.index(), e.weight))
+            .collect();
+        edges.extend((0..n).map(|i| (i, (i + 5) % n, 0.3 + (i % 3) as f64 * 0.2)));
+        let lap = Arc::new(Graph::from_edges(n, &edges).unwrap().laplacian());
+
+        let mut engine = SnapshotEngine::setup(&h, &SetupConfig::default()).unwrap();
+        let old = engine.snapshot();
+        engine
+            .apply_batch(
+                &[UpdateOp::Insert {
+                    u: 3,
+                    v: 19,
+                    weight: 1.25,
+                }],
+                &UpdateConfig::default(),
+            )
+            .unwrap();
+        let new = engine.snapshot();
+        assert!(new.version() > old.version());
+
+        // Interleaved submissions, including an inconsistent (non-zero-sum)
+        // right-hand side that the projection must handle identically.
+        let requests: Vec<(Arc<SparsifierSnapshot>, Vec<f64>)> = (0..13)
+            .map(|k| {
+                let snap = if k % 3 == 1 { &new } else { &old };
+                let mut b = pair_rhs(n, k, (7 * k + 4) % n);
+                if k == 5 {
+                    b.iter_mut().for_each(|v| *v += 0.5);
+                }
+                (Arc::clone(snap), b)
+            })
+            .collect();
+        let cg = SolveConfig::default().cg;
+        let want: Vec<(Vec<f64>, CgResult)> = requests
+            .iter()
+            .map(|(snap, b)| reference_solve(snap, &lap, b, &cg))
+            .collect();
+        assert!(want.iter().any(|(_, r)| r.iterations > 2));
+
+        for threads in [1, 2, 4] {
+            let svc = ConcurrentSolveService::new(SolveConfig {
+                threads: Some(threads),
+                ..Default::default()
+            });
+            for (snap, b) in &requests {
+                svc.submit(snap, &lap, b.clone()).unwrap();
+            }
+            let round = svc.drain();
+            assert_eq!(round.groups, 2);
+            assert_eq!(round.served.len(), requests.len());
+            assert_eq!(round.request_latency.count(), requests.len() as u64);
+            for (k, (s, (x, res))) in round.served.iter().zip(&want).enumerate() {
+                assert_eq!(s.ticket, Ticket(k as u64));
+                assert_eq!(s.version, requests[k].0.version());
+                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&s.x), bits(x), "width {threads}, request {k}: x");
+                assert_eq!(
+                    (s.result.iterations, s.result.converged),
+                    (res.iterations, res.converged),
+                    "width {threads}, request {k}"
+                );
+                assert_eq!(
+                    s.result.residual_norm.to_bits(),
+                    res.residual_norm.to_bits(),
+                    "width {threads}, request {k}: residual"
+                );
+            }
+        }
     }
 
     #[test]

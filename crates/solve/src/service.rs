@@ -2,7 +2,7 @@
 
 use ingrass::{InGrassEngine, InGrassError, PhaseTimer, SparsifierPrecond, SparsifierSnapshot};
 use ingrass_graph::{kruskal_tree, TreeObjective, TreePrecond};
-use ingrass_linalg::{pcg, CgOptions, CgResult, CsrMatrix, JacobiPrecond, Preconditioner};
+use ingrass_linalg::{BlockPcg, CgOptions, CgResult, CsrMatrix, JacobiPrecond, Preconditioner};
 use std::fmt;
 
 /// How the service turns the live sparsifier into a preconditioner.
@@ -79,6 +79,14 @@ impl Preconditioner for PrecondImpl {
             PrecondImpl::Tree(p) => p.apply(r, z),
         }
     }
+
+    fn apply_block(&self, r: &[f64], z: &mut [f64], k: usize, scratch: &mut Vec<f64>) {
+        match self {
+            PrecondImpl::Cholesky(p) => p.apply_block(r, z, k, scratch),
+            PrecondImpl::Jacobi(p) => p.apply_block(r, z, k, scratch),
+            PrecondImpl::Tree(p) => p.apply_block(r, z, k, scratch),
+        }
+    }
 }
 
 struct CachedPrecond {
@@ -103,6 +111,19 @@ pub enum SolveError {
         /// Which operand was wrong.
         what: &'static str,
     },
+    /// A right-hand side holds a NaN or infinite entry. PCG cannot make
+    /// progress on it (it would stop after one iteration with an all-zero
+    /// solution and a NaN residual), so it is refused before it is queued
+    /// or solved.
+    NonFinite {
+        /// Position of the offending right-hand side in the batch (0 for
+        /// a single submission).
+        rhs: usize,
+        /// Index of its first non-finite entry.
+        index: usize,
+        /// That entry's value.
+        value: f64,
+    },
     /// Extracting the preconditioner from the engine failed.
     Precondition(String),
     /// The admission queue is at its [`SolveConfig::max_pending`] cap;
@@ -121,6 +142,10 @@ impl fmt::Display for SolveError {
                 found,
                 what,
             } => write!(f, "{what} has dimension {found}, engine expects {expected}"),
+            SolveError::NonFinite { rhs, index, value } => write!(
+                f,
+                "right-hand side {rhs} has non-finite entry {value} at index {index}"
+            ),
             SolveError::Precondition(msg) => write!(f, "preconditioner extraction failed: {msg}"),
             SolveError::QueueFull { max_pending } => {
                 write!(f, "admission queue full ({max_pending} pending)")
@@ -327,7 +352,9 @@ impl SolveService {
     ///
     /// # Errors
     /// [`SolveError::Dimension`] on operand/engine shape mismatch;
-    /// [`SolveError::Precondition`] if factorization fails.
+    /// [`SolveError::NonFinite`] if a right-hand side holds a NaN or
+    /// infinite entry; [`SolveError::Precondition`] if factorization
+    /// fails.
     pub fn solve_batch(
         &mut self,
         engine: &InGrassEngine,
@@ -335,7 +362,7 @@ impl SolveService {
         rhss: &[Vec<f64>],
     ) -> crate::Result<(Vec<Vec<f64>>, SolveReport)> {
         let n = engine.sparsifier().num_nodes();
-        check_dims(n, laplacian, rhss)?;
+        check_operands(n, laplacian, rhss)?;
 
         let (refactorized, factor_seconds) = self.ensure_precond(engine)?;
         let cached = self.cache.as_ref().expect("ensure_precond populated cache");
@@ -379,7 +406,9 @@ impl SolveService {
     /// latency flat under sustained churn).
     ///
     /// # Errors
-    /// [`SolveError::Dimension`] on operand/snapshot shape mismatch.
+    /// [`SolveError::Dimension`] on operand/snapshot shape mismatch;
+    /// [`SolveError::NonFinite`] if a right-hand side holds a NaN or
+    /// infinite entry.
     pub fn solve_snapshot_batch(
         &mut self,
         snapshot: &SparsifierSnapshot,
@@ -387,7 +416,7 @@ impl SolveService {
         rhss: &[Vec<f64>],
     ) -> crate::Result<(Vec<Vec<f64>>, SolveReport)> {
         let n = snapshot.num_nodes();
-        check_dims(n, laplacian, rhss)?;
+        check_operands(n, laplacian, rhss)?;
         let threads = self.cfg.threads.unwrap_or_else(ingrass_par::num_threads);
         let (xs, results, solve_seconds) = pcg_batch(
             laplacian,
@@ -472,9 +501,14 @@ impl SolveService {
     }
 }
 
-/// Dimension validation shared by every solve entry point (including the
-/// concurrent service's admission path).
-pub(crate) fn check_dims(n: usize, laplacian: &CsrMatrix, rhss: &[Vec<f64>]) -> crate::Result<()> {
+/// Operand validation shared by every solve entry point (including the
+/// concurrent service's admission path): shapes, and finite right-hand
+/// sides.
+pub(crate) fn check_operands(
+    n: usize,
+    laplacian: &CsrMatrix,
+    rhss: &[Vec<f64>],
+) -> crate::Result<()> {
     if laplacian.n_rows() != n || laplacian.n_cols() != n {
         return Err(SolveError::Dimension {
             expected: n,
@@ -482,7 +516,7 @@ pub(crate) fn check_dims(n: usize, laplacian: &CsrMatrix, rhss: &[Vec<f64>]) -> 
             what: "laplacian",
         });
     }
-    for b in rhss {
+    for (rhs, b) in rhss.iter().enumerate() {
         if b.len() != n {
             return Err(SolveError::Dimension {
                 expected: n,
@@ -490,36 +524,70 @@ pub(crate) fn check_dims(n: usize, laplacian: &CsrMatrix, rhss: &[Vec<f64>]) -> 
                 what: "right-hand side",
             });
         }
+        if let Some(index) = b.iter().position(|v| !v.is_finite()) {
+            return Err(SolveError::NonFinite {
+                rhs,
+                index,
+                value: b[index],
+            });
+        }
     }
     Ok(())
 }
 
-/// One deflated, `1⊥`-projected PCG solve from a zero initial guess
-/// (b ← b − mean(b)·1 for Laplacian consistency, constant deflation every
-/// iteration) — the single-solve recipe every serving path shares: the
-/// cached-engine batch, the snapshot batch, and the concurrent service's
-/// per-request drain.
-pub(crate) fn solve_projected<M>(
-    laplacian: &CsrMatrix,
-    rhs: &[f64],
-    precond: &M,
-    cg: &CgOptions,
-) -> (Vec<f64>, CgResult)
-where
-    M: Preconditioner + ?Sized,
-{
-    let n = laplacian.n_rows();
-    let mean = rhs.iter().sum::<f64>() / n.max(1) as f64;
-    let projected: Vec<f64> = rhs.iter().map(|v| v - mean).collect();
-    let ones = vec![1.0; n];
-    let mut x = vec![0.0; n];
-    let result = pcg(laplacian, &projected, &mut x, precond, Some(&ones), cg);
-    (x, result)
+/// One block of requests, solved as one blocked PCG run
+/// ([`ingrass_linalg::BlockPcg`]) by the recipe every serving path shares
+/// — the cached-engine batch, the snapshot batch, and the concurrent
+/// service's drain: each right-hand side projected onto `1⊥`
+/// (b ← b − mean(b)·1, for Laplacian consistency), the constant deflated
+/// every iteration, every column starting from zero. Each request's answer
+/// is bit-identical to solving it alone, whatever the block size.
+///
+/// [`Block::new`] allocates everything the solve needs, so the thread
+/// that cuts a batch into blocks owns the memory and workers only compute.
+pub(crate) struct Block {
+    /// The projected right-hand sides; [`Block::solve`] overwrites them
+    /// with the solutions.
+    pub(crate) xs: Vec<Vec<f64>>,
+    ones: Vec<f64>,
+    pcg: BlockPcg,
 }
 
-/// [`solve_projected`] over a batch, distributed across `threads` workers
-/// (bit-identical to the serial loop at any width — see `ingrass-par`).
-/// Returns the solutions, the per-RHS outcomes, and the solve wall seconds.
+impl Block {
+    pub(crate) fn new(n: usize, rhss: &[Vec<f64>]) -> Self {
+        let xs = rhss
+            .iter()
+            .map(|rhs| {
+                let mean = rhs.iter().sum::<f64>() / n.max(1) as f64;
+                rhs.iter().map(|v| v - mean).collect()
+            })
+            .collect();
+        Block {
+            xs,
+            ones: vec![1.0; n],
+            pcg: BlockPcg::new(n, rhss.len()),
+        }
+    }
+
+    pub(crate) fn solve<M>(
+        &mut self,
+        laplacian: &CsrMatrix,
+        precond: &M,
+        cg: &CgOptions,
+    ) -> Vec<CgResult>
+    where
+        M: Preconditioner + ?Sized,
+    {
+        self.pcg
+            .solve(laplacian, &mut self.xs, precond, Some(&self.ones), cg)
+    }
+}
+
+/// A batch solved as `min(threads, len)` contiguous, near-equal
+/// [`Block`]s ([`ingrass_par::split_even`]), distributed across `threads`
+/// workers (bit-identical at any width and any block composition).
+/// Returns the solutions, the per-RHS outcomes, and the solve wall
+/// seconds.
 fn pcg_batch<M>(
     laplacian: &CsrMatrix,
     rhss: &[Vec<f64>],
@@ -531,17 +599,17 @@ where
     M: Preconditioner + Sync + ?Sized,
 {
     let timer = PhaseTimer::start();
-    let solved = ingrass_par::par_map_with(threads, rhss, |b| {
-        solve_projected(laplacian, b, precond, cg)
+    let n = laplacian.n_rows();
+    let mut blocks: Vec<Block> = ingrass_par::split_even(rhss.len(), threads)
+        .into_iter()
+        .map(|cols| Block::new(n, &rhss[cols]))
+        .collect();
+    let results = ingrass_par::par_map_mut_with(threads, &mut blocks, |block| {
+        block.solve(laplacian, precond, cg)
     });
     let solve_seconds = timer.total().as_secs_f64();
-    let mut xs = Vec::with_capacity(solved.len());
-    let mut results = Vec::with_capacity(solved.len());
-    for (x, r) in solved {
-        xs.push(x);
-        results.push(r);
-    }
-    (xs, results, solve_seconds)
+    let xs = blocks.into_iter().flat_map(|b| b.xs).collect();
+    (xs, results.into_iter().flatten().collect(), solve_seconds)
 }
 
 /// Plain (unpreconditioned) CG on a Laplacian system, with the same
@@ -756,6 +824,52 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn non_finite_rhs_is_rejected_by_batch_paths() {
+        let (g, engine) = fixture(6, 10);
+        let l = g.laplacian();
+        let n = g.num_nodes();
+        let mut bad = pair_rhs(n, 0, 5);
+        bad[7] = f64::INFINITY;
+        let batch = vec![pair_rhs(n, 1, 2), bad];
+        let mut svc = SolveService::new(SolveConfig::default());
+        let expect = SolveError::NonFinite {
+            rhs: 1,
+            index: 7,
+            value: f64::INFINITY,
+        };
+        assert_eq!(svc.solve_batch(&engine, &l, &batch).unwrap_err(), expect);
+        let snap =
+            ingrass::SnapshotEngine::setup(&engine.sparsifier_graph(), &SetupConfig::default())
+                .unwrap()
+                .snapshot();
+        assert_eq!(
+            svc.solve_snapshot_batch(&snap, &l, &batch).unwrap_err(),
+            expect
+        );
+        assert_eq!(svc.stats().solves, 0, "nothing was solved");
+    }
+
+    #[test]
+    fn batch_width_does_not_change_answers() {
+        let (g, engine) = fixture(9, 11);
+        let l = g.laplacian();
+        let n = g.num_nodes();
+        let rhss: Vec<Vec<f64>> = (0..11).map(|k| pair_rhs(n, k, n - 1 - 2 * k)).collect();
+        let solve = |threads| {
+            let mut svc = SolveService::new(SolveConfig {
+                threads: Some(threads),
+                ..Default::default()
+            });
+            let (xs, report) = svc.solve_batch(&engine, &l, &rhss).unwrap();
+            (xs, report.results)
+        };
+        let one = solve(1);
+        for threads in [2, 3, 4, 16] {
+            assert_eq!(solve(threads), one, "width {threads} diverged");
+        }
     }
 
     #[test]

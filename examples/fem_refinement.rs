@@ -78,7 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         maintained.lambda_max, stale.lambda_max
     );
     println!(
-        "two-sided κ with maintenance: {:.1} (λmin {:.2} — weight absorption on          strongly local streams over-weights H; see EXPERIMENTS.md)",
+        "two-sided κ with maintenance: {:.1} (λmin {:.2} — weight absorption on \
+         strongly local streams over-weights H; the table2 binary reports this \
+         measure per suite case as ingrass_kappa_two_sided)",
         maintained.kappa, maintained.lambda_min
     );
 
