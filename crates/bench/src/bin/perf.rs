@@ -414,11 +414,11 @@ fn solve_rhs_batch(n: usize, seed: u64, count: usize) -> Vec<Vec<f64>> {
 /// clears 3× across the whole suite and the factor still carries ~n fill.
 const SOLVE_DENSITY: f64 = 0.30;
 
-/// Runs the solve scenario of one case: extract the sparsifier
-/// preconditioner, serve a cold batched PCG solve on the *original*
-/// Laplacian, replay one insertion batch (no re-setup), and serve the same
-/// batch warm off the cached factorization. Unpreconditioned CG on the
-/// same right-hand sides is the iteration baseline.
+/// Runs the solve scenario of one case: factor the sparsifier, publish it
+/// as a snapshot and serve a batched PCG solve on the *original*
+/// Laplacian (cold: the first solve after the factorization), then the
+/// same batch again on the same snapshot (warm). Unpreconditioned CG on
+/// the same right-hand sides is the iteration baseline.
 fn run_solve_scenario(case: TestCase, fixture: &CaseFixture, args: &Args) -> Json {
     let setup_cfg = SetupConfig::default()
         .with_seed(args.seed)
@@ -427,23 +427,23 @@ fn run_solve_scenario(case: TestCase, fixture: &CaseFixture, args: &Args) -> Jso
         .by_offtree_density(&fixture.g0, SOLVE_DENSITY)
         .expect("solve-grade sparsification")
         .graph;
-    let mut engine = InGrassEngine::setup(&h_solve, &setup_cfg).expect("solve setup");
+    let engine = InGrassEngine::setup(&h_solve, &setup_cfg).expect("solve setup");
     let l_g = fixture.g0.laplacian();
     let n = fixture.g0.num_nodes();
     let rhss = solve_rhs_batch(n, args.seed ^ 0x50_1e, 4);
 
-    // Pin the Cholesky strategy: Auto's node-ceiling fallback would
-    // switch the paper-scale delaunay case to the tree preconditioner and
-    // silently change what `<case>/solve` measures across scales.
-    let solve_cfg = SolveConfig {
-        strategy: ingrass_solve::PrecondStrategy::Cholesky,
-        ..Default::default()
-    };
+    // The factorization alone, timed on the engine; the publish below
+    // builds the snapshot's own (identical) factor.
+    let timer = PhaseTimer::start();
+    engine.preconditioner().expect("solve factorization");
+    let factor_wall = timer.total().as_secs_f64();
+    let snap = SnapshotEngine::from_engine(engine)
+        .expect("solve publish")
+        .snapshot();
+
+    let solve_cfg = SolveConfig::default();
     let mut service = SolveService::new(solve_cfg.clone());
-    let (_, cold) = service
-        .solve_batch(&engine, &l_g, &rhss)
-        .expect("cold solve");
-    assert!(cold.refactorized, "first solve must factorize");
+    let (_, cold) = service.solve_batch(&snap, &l_g, &rhss).expect("cold solve");
 
     // Unpreconditioned baseline on identical systems (same budget and
     // tolerance). Convergence is recorded: a capped baseline would make
@@ -457,16 +457,7 @@ fn run_solve_scenario(case: TestCase, fixture: &CaseFixture, args: &Args) -> Jso
     let cg_iters: Vec<usize> = cg_results.iter().map(|r| r.iterations).collect();
     let cg_converged = cg_results.iter().all(|r| r.converged);
 
-    // One ordinary insertion batch: epoch unchanged → the next solve is
-    // served warm off the cached factorization.
-    let report = engine
-        .insert_batch(&fixture.stream.batches()[0], &UpdateConfig::default())
-        .expect("solve-scenario update");
-    assert!(report.resetup.is_none(), "insert batch must not re-setup");
-    let (_, warm) = service
-        .solve_batch(&engine, &l_g, &rhss)
-        .expect("warm solve");
-    assert!(!warm.refactorized, "cached factorization must be reused");
+    let (_, warm) = service.solve_batch(&snap, &l_g, &rhss).expect("warm solve");
 
     let pcg_total: usize = cold.total_iterations();
     let cg_total: usize = cg_iters.iter().sum();
@@ -474,7 +465,7 @@ fn run_solve_scenario(case: TestCase, fixture: &CaseFixture, args: &Args) -> Jso
     println!(
         "{:<14} solve   factor {:>10} cold {:>10} warm {:>10}  pcg {:>4} vs cg {:>5} iters ({:.1}x)",
         case.name(),
-        fmt_secs(cold.factor_seconds),
+        fmt_secs(factor_wall),
         fmt_secs(cold.solve_seconds),
         fmt_secs(warm.solve_seconds),
         pcg_total,
@@ -489,14 +480,13 @@ fn run_solve_scenario(case: TestCase, fixture: &CaseFixture, args: &Args) -> Jso
         ("kind", Json::Str("solve".to_string())),
         ("nodes", Json::Num(n as f64)),
         ("edges", Json::Num(fixture.g0.num_edges() as f64)),
-        ("precond", Json::Str(cold.precond.to_string())),
+        ("precond", Json::Str("cholesky".to_string())),
         ("sparsifier_offtree_density", Json::Num(SOLVE_DENSITY)),
         ("rhs_count", Json::Num(rhss.len() as f64)),
-        ("factor_wall_s", Json::Num(cold.factor_seconds)),
+        ("factor_wall_s", Json::Num(factor_wall)),
         ("factor_nnz", Json::Num(cold.factor_nnz as f64)),
         ("solve_cold_wall_s", Json::Num(cold.solve_seconds)),
         ("solve_warm_wall_s", Json::Num(warm.solve_seconds)),
-        ("warm_cache_hit", Json::Bool(!warm.refactorized)),
         ("pcg_iters_total", Json::Num(pcg_total as f64)),
         ("pcg_iters_max", Json::Num(cold.max_iterations() as f64)),
         ("cg_iters_total", Json::Num(cg_total as f64)),
@@ -918,24 +908,18 @@ fn run_shard_scenario(case: TestCase, fixture: &CaseFixture, args: &Args) -> Jso
 
     // Stitched vs mono PCG on identical systems: the final churned graph's
     // Laplacian, preconditioned by the stitched Schur-complement factor
-    // and by the mono engine's factor (same pinned Cholesky strategy as
-    // the solve scenario).
+    // and by a fresh factor of the mono engine's sparsifier.
     let g_now = churn.apply_to(&fixture.g0).expect("churn replay");
     let lap = g_now.laplacian();
     let n = fixture.g0.num_nodes();
     let rhss = solve_rhs_batch(n, args.seed ^ 0x54a6, 4);
-    let solve_cfg = SolveConfig {
-        strategy: ingrass_solve::PrecondStrategy::Cholesky,
-        ..Default::default()
-    };
-    let mut svc = SolveService::new(solve_cfg.clone());
-    let snap = sharded.snapshot();
+    let mut svc = SolveService::new(SolveConfig::default());
     let (_, stitched) = svc
-        .solve_snapshot_batch(&snap, &lap, &rhss)
+        .solve_batch(&sharded.snapshot(), &lap, &rhss)
         .expect("stitched solve");
-    let mut mono_svc = SolveService::new(solve_cfg);
-    let (_, mono_solve) = mono_svc
-        .solve_batch(&mono, &lap, &rhss)
+    let mono = SnapshotEngine::from_engine(mono).expect("shard mono publish");
+    let (_, mono_solve) = svc
+        .solve_batch(&mono.snapshot(), &lap, &rhss)
         .expect("shard mono solve");
     let stitched_iters = stitched.total_iterations();
     let mono_iters = mono_solve.total_iterations();

@@ -738,9 +738,9 @@ impl InGrassEngine {
     /// incremented by every (drift-triggered or manual) re-setup.
     ///
     /// Within one epoch the LRD hierarchy and connectivity index are fixed
-    /// and the sparsifier only drifts incrementally — this is the cache key
-    /// the solve subsystem (`ingrass-solve`) uses to decide whether a
-    /// cached sparsifier factorization is still a valid preconditioner.
+    /// and the sparsifier only drifts incrementally — [`crate::SnapshotEngine`]
+    /// keeps patching or numerically refactoring its factor while the
+    /// epoch stands, and rebuilds it when the epoch moves.
     pub fn epoch(&self) -> u64 {
         self.ledger.resetups() as u64
     }
@@ -749,12 +749,12 @@ impl InGrassEngine {
     /// re-setups, distinct for every [`InGrassEngine::setup`] call).
     ///
     /// [`InGrassEngine::epoch`] alone cannot distinguish two *different*
-    /// engines that both happen to sit at, say, epoch 0 — external caches
-    /// (notably `ingrass-solve`'s factorization cache) key on
-    /// `(instance_id, epoch)` so a freshly set-up engine never gets served
-    /// another engine's preconditioner. The value carries no meaning
-    /// beyond equality and never feeds any computation, so determinism of
-    /// results is unaffected.
+    /// engines that both happen to sit at, say, epoch 0 — anything keyed
+    /// on engine state (notably `ingrass-solve`'s admission groups, keyed
+    /// on a snapshot's `(instance_id, epoch, version)`) includes it, so a
+    /// freshly set-up engine is never confused with another. The value
+    /// carries no meaning beyond equality and never feeds any computation,
+    /// so determinism of results is unaffected.
     pub fn instance_id(&self) -> u64 {
         self.instance_id
     }
@@ -763,7 +763,7 @@ impl InGrassEngine {
     /// [`InGrassEngine::apply_batch`] and by every re-setup. Two equal
     /// versions imply an identical sparsifier; finer-grained than
     /// [`InGrassEngine::epoch`] for callers that want exact staleness
-    /// tracking rather than the epoch-level cache policy.
+    /// tracking rather than epoch granularity.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -775,8 +775,9 @@ impl InGrassEngine {
     /// The factor is exact for the sparsifier, so preconditioned CG on the
     /// *original* Laplacian `L_G` converges in `O(√κ(L_H⁻¹L_G))`
     /// iterations — the condition number the update phase keeps bounded.
-    /// Callers should cache the result and rebuild when the epoch moves;
-    /// the `SolveService` in `ingrass-solve` automates exactly that.
+    /// [`crate::SnapshotEngine`] maintains this factor across publishes
+    /// and hands it to every [`crate::SparsifierSnapshot`], which is what
+    /// the solve services in `ingrass-solve` precondition with.
     ///
     /// # Errors
     /// [`InGrassError::BadSparsifier`] if the grounded Laplacian fails to

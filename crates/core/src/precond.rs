@@ -52,8 +52,9 @@ fn grounded_laplacian(h: &DynGraph, ground: usize) -> CsrMatrix {
 /// the map is symmetric positive definite on the relevant subspace.
 ///
 /// Built by [`crate::InGrassEngine::preconditioner`]; the attached
-/// [`SparsifierPrecond::epoch`] is the engine epoch at build time, which is
-/// what `ingrass-solve` keys its factorization cache on.
+/// [`SparsifierPrecond::epoch`] is the engine epoch at build time, which
+/// [`crate::SnapshotEngine`] compares against the engine's to decide whether
+/// the factor can be patched or must be rebuilt.
 #[derive(Debug, Clone)]
 pub struct SparsifierPrecond {
     n: usize,

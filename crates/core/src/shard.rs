@@ -454,10 +454,11 @@ impl ShardedEngine {
         };
 
         // ---- Parallel apply: per-shard batches fan out round-robin over
-        // `width` pool jobs; each job walks its shards in ascending index
-        // order and every result lands by shard index at the fence, so
-        // any width yields identical state. Shard engines never touch the
-        // boundary graph or each other, so the workers share nothing.
+        // `width` scoped worker threads; each walks its shards in
+        // ascending index order and every result lands by shard index at
+        // the fence, so any width yields identical state. Shard engines
+        // never touch the boundary graph or each other, so the workers
+        // share nothing.
         let threads = self.threads();
         let width = threads.min(s).max(1);
         report.fence_width = width;
@@ -475,9 +476,9 @@ impl ShardedEngine {
         let mut outs: Vec<Vec<(usize, Result<UpdateReport>, f64)>> =
             (0..width).map(|_| Vec::new()).collect();
         if shard_jobs > 0 {
-            ingrass_par::scope_with(width, |scope| {
+            std::thread::scope(|scope| {
                 for (job, out) in jobs.into_iter().zip(outs.iter_mut()) {
-                    scope.execute(move || {
+                    scope.spawn(move || {
                         for (sh, eng, batch) in job {
                             let shard_timer = PhaseTimer::start();
                             let res = eng.apply_batch(&batch, cfg);

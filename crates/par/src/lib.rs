@@ -31,8 +31,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-pub use scoped_threadpool::{Pool, Scope};
-
 /// Environment variable overriding the worker thread count.
 pub const THREADS_ENV: &str = "INGRASS_THREADS";
 
@@ -93,15 +91,14 @@ where
 
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, U)>();
-    let pool = Pool::new(width);
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-    pool.scoped(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..width {
             let tx = tx.clone();
             let cursor = &cursor;
             let f = &f;
-            scope.execute(move || loop {
+            scope.spawn(move || loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
@@ -228,30 +225,6 @@ where
     }
 }
 
-/// Runs `f` with a scope that can spawn borrowing jobs at the ambient
-/// [`num_threads`] width; all jobs join before this returns.
-///
-/// For irregular fork–join shapes that [`par_map`] does not fit. The scope's
-/// pool width is advisory (see `scoped_threadpool`): submit at most
-/// [`Pool::thread_count`] jobs and split finer work inside them.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    scope_with(num_threads(), f)
-}
-
-/// [`scope`] at an explicit worker width (clamped to ≥ 1): the fork–join
-/// companion to [`par_map_with`] for irregular job shapes whose caller
-/// carries its own thread knob instead of the ambient `INGRASS_THREADS`
-/// width.
-pub fn scope_with<'env, F, R>(threads: usize, f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    Pool::new(threads.max(1)).scoped(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,35 +343,5 @@ mod tests {
             assert_eq!(num_threads(), host, "value {bad:?} must be ignored");
         }
         std::env::remove_var(THREADS_ENV);
-    }
-
-    #[test]
-    fn scope_with_explicit_width_joins_all_jobs() {
-        // No ENV_LOCK needed: the width is explicit, nothing reads the env.
-        for width in [1, 2, 4] {
-            let mut parts = vec![0usize; 4];
-            scope_with(width, |s| {
-                for (i, p) in parts.iter_mut().enumerate() {
-                    s.execute(move || *p = i + 1);
-                }
-            });
-            assert_eq!(parts, vec![1, 2, 3, 4], "width {width}");
-        }
-        // Zero clamps to one worker instead of panicking.
-        let mut one = 0usize;
-        scope_with(0, |s| s.execute(|| one = 7));
-        assert_eq!(one, 7);
-    }
-
-    #[test]
-    fn scope_joins_all_jobs() {
-        let _guard = ENV_LOCK.lock().unwrap(); // scope() reads INGRASS_THREADS
-        let mut parts = vec![0usize; 4];
-        scope(|s| {
-            for (i, p) in parts.iter_mut().enumerate() {
-                s.execute(move || *p = i + 1);
-            }
-        });
-        assert_eq!(parts, vec![1, 2, 3, 4]);
     }
 }

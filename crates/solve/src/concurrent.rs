@@ -3,9 +3,8 @@
 //! pool.
 //!
 //! The [`crate::SolveService`] is a single-caller object: one `&mut`
-//! holder, one factorization cache, solves serialized against the caller.
-//! [`ConcurrentSolveService`] is its serving-layer counterpart for the
-//! [`ingrass::SnapshotEngine`] world:
+//! holder, solves serialized against the caller. [`ConcurrentSolveService`]
+//! is its serving-layer counterpart for many readers:
 //!
 //! * **submission is `&self`** — any number of reader threads
 //!   [`submit`](ConcurrentSolveService::submit) right-hand sides, each
@@ -36,9 +35,9 @@
 //! with — serving never observes a half-applied update, and a patched
 //! factor preconditions exactly like a fresh one.
 
-use crate::service::{Block, PrecondKind, SolveConfig};
+use crate::service::{project, SolveConfig};
 use ingrass::{PhaseTimer, SparsifierSnapshot};
-use ingrass_linalg::{CgResult, CsrMatrix};
+use ingrass_linalg::{BlockPcg, CgOptions, CgResult, CsrMatrix, Preconditioner};
 use ingrass_metrics::{LatencyHistogram, LatencySummary};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -115,6 +114,41 @@ pub struct ConcurrentSolveStats {
     /// Per-request solve wall time across all rounds (the merge of every
     /// round's [`DrainReport::request_latency`]).
     pub request_latency: LatencyHistogram,
+}
+
+/// One block of a drained group's requests, solved as one blocked PCG run
+/// ([`ingrass_linalg::BlockPcg`]): each right-hand side projected onto
+/// `1⊥`, the constant deflated every iteration, every column starting from
+/// zero — the recipe of [`crate::SolveService::solve_batch`], so each
+/// request's answer is bit-identical to solving it alone, whatever the
+/// block size.
+///
+/// [`Block::new`] allocates everything the solve needs, so the draining
+/// thread owns the memory and workers only compute.
+struct Block {
+    /// The projected right-hand sides; [`Block::solve`] overwrites them
+    /// with the solutions.
+    xs: Vec<Vec<f64>>,
+    ones: Vec<f64>,
+    pcg: BlockPcg,
+}
+
+impl Block {
+    fn new(n: usize, rhss: &[Vec<f64>]) -> Self {
+        Block {
+            xs: rhss.iter().map(|b| project(b)).collect(),
+            ones: vec![1.0; n],
+            pcg: BlockPcg::new(n, rhss.len()),
+        }
+    }
+
+    fn solve<M>(&mut self, laplacian: &CsrMatrix, precond: &M, cg: &CgOptions) -> Vec<CgResult>
+    where
+        M: Preconditioner + ?Sized,
+    {
+        self.pcg
+            .solve(laplacian, &mut self.xs, precond, Some(&self.ones), cg)
+    }
 }
 
 /// A pending admission group: requests against one snapshot/Laplacian pair.
@@ -470,12 +504,6 @@ impl ConcurrentSolveService {
     }
 }
 
-/// The preconditioner kind every snapshot-path solve uses (the snapshot's
-/// grounded Cholesky factor). Reporting layers — including
-/// [`crate::SolveService::solve_snapshot_batch`]'s report tag — reference
-/// this instead of hard-coding the variant.
-pub const SNAPSHOT_PRECOND: PrecondKind = PrecondKind::Cholesky;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,11 +731,27 @@ mod tests {
             .collect();
         assert!(want.iter().any(|(_, r)| r.iterations > 2));
 
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let check = |got: (&[f64], &CgResult), k: usize, what: &str| {
+            let (x, res) = &want[k];
+            assert_eq!(bits(got.0), bits(x), "{what}, request {k}: x");
+            assert_eq!(
+                (got.1.iterations, got.1.converged),
+                (res.iterations, res.converged),
+                "{what}, request {k}"
+            );
+            assert_eq!(
+                got.1.residual_norm.to_bits(),
+                res.residual_norm.to_bits(),
+                "{what}, request {k}: residual"
+            );
+        };
         for threads in [1, 2, 4] {
-            let svc = ConcurrentSolveService::new(SolveConfig {
+            let cfg = SolveConfig {
                 threads: Some(threads),
                 ..Default::default()
-            });
+            };
+            let svc = ConcurrentSolveService::new(cfg.clone());
             for (snap, b) in &requests {
                 svc.submit(snap, &lap, b.clone()).unwrap();
             }
@@ -715,21 +759,23 @@ mod tests {
             assert_eq!(round.groups, 2);
             assert_eq!(round.served.len(), requests.len());
             assert_eq!(round.request_latency.count(), requests.len() as u64);
-            for (k, (s, (x, res))) in round.served.iter().zip(&want).enumerate() {
+            for (k, s) in round.served.iter().enumerate() {
                 assert_eq!(s.ticket, Ticket(k as u64));
                 assert_eq!(s.version, requests[k].0.version());
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&s.x), bits(x), "width {threads}, request {k}: x");
-                assert_eq!(
-                    (s.result.iterations, s.result.converged),
-                    (res.iterations, res.converged),
-                    "width {threads}, request {k}"
-                );
-                assert_eq!(
-                    s.result.residual_norm.to_bits(),
-                    res.residual_norm.to_bits(),
-                    "width {threads}, request {k}: residual"
-                );
+                check((&s.x, &s.result), k, &format!("drain width {threads}"));
+            }
+
+            // The single-caller path answers each group's batch the same.
+            let mut single = crate::SolveService::new(cfg);
+            for snap in [&old, &new] {
+                let ks: Vec<usize> = (0..requests.len())
+                    .filter(|&k| Arc::ptr_eq(&requests[k].0, snap))
+                    .collect();
+                let rhss: Vec<Vec<f64>> = ks.iter().map(|&k| requests[k].1.clone()).collect();
+                let (xs, report) = single.solve_batch(snap, &lap, &rhss).unwrap();
+                for ((x, res), &k) in xs.iter().zip(&report.results).zip(&ks) {
+                    check((x, res), k, &format!("solve_batch width {threads}"));
+                }
             }
         }
     }

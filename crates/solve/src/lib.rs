@@ -3,33 +3,32 @@
 //!
 //! The inGRASS engine maintains a sparsifier `H` with a bounded relative
 //! condition number `κ(L_G, L_H)` against the evolving original graph `G`.
-//! This crate closes the loop: it extracts a preconditioner from the live
-//! sparsifier (a grounded sparse Cholesky factorization of `L_H`, with
-//! Jacobi/spanning-tree fallbacks for huge cases), serves **batched
-//! multi-RHS PCG solves on the original Laplacian** through
-//! [`SolveService::solve_batch`], and caches the factorization keyed by the
-//! engine's ledger epoch — reused across update batches, invalidated
-//! automatically when a drift-triggered re-setup starts a new epoch.
+//! This crate closes the loop: it serves **batched multi-RHS PCG solves on
+//! the original Laplacian**, preconditioned by the exact factor of `L_H`
+//! that every published [`ingrass::SparsifierSnapshot`] carries (Jacobi
+//! and spanning-tree preconditioners of the snapshot's sparsifier are
+//! available for comparison).
 //!
 //! Since the factor is exact for `L_H`, preconditioned CG on `L_G`
 //! converges in `O(√κ(L_H⁻¹L_G))` iterations — the very quantity the
 //! incremental update phase keeps small — instead of the `O(√κ(L_G))` of
 //! plain CG.
 //!
-//! For concurrent serving, [`ConcurrentSolveService`] pairs with the
-//! engine's snapshot layer (`ingrass::SnapshotEngine`): reader threads
-//! submit right-hand sides tagged with the immutable snapshot they should
-//! be answered against, submissions against one snapshot coalesce into a
-//! multi-RHS admission group, and `drain` answers every pending group on
-//! the `ingrass-par` worker pool — all without ever borrowing the engine,
-//! so a writer keeps applying update batches throughout.
-//! [`SolveService::solve_snapshot_batch`] is the single-caller form of the
-//! same snapshot-isolated path.
+//! Both services answer against snapshots and never borrow an engine, so a
+//! writer keeps applying update batches throughout:
+//!
+//! * [`SolveService::solve_batch`] is the single-caller form: one batch
+//!   against one snapshot, solved by [`ingrass_linalg::pcg_multi`];
+//! * [`ConcurrentSolveService`] is the serving form: reader threads submit
+//!   right-hand sides tagged with the snapshot they should be answered
+//!   against, submissions against one snapshot coalesce into a multi-RHS
+//!   admission group, and `drain` answers every pending group on the
+//!   `ingrass-par` workers.
 //!
 //! # Example
 //!
 //! ```
-//! use ingrass::{InGrassEngine, SetupConfig, UpdateConfig};
+//! use ingrass::{SetupConfig, SnapshotEngine};
 //! use ingrass_solve::{SolveConfig, SolveService};
 //! use ingrass_baselines::GrassSparsifier;
 //! use ingrass_gen::{grid_2d, WeightModel};
@@ -37,7 +36,9 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = grid_2d(12, 12, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 7);
 //! let h0 = GrassSparsifier::default().by_offtree_density(&g, 0.10)?;
-//! let mut engine = InGrassEngine::setup(&h0.graph, &SetupConfig::default())?;
+//! let engine = SnapshotEngine::setup(&h0.graph, &SetupConfig::default())?;
+//! // The publish already factored the sparsifier.
+//! let snap = engine.snapshot();
 //!
 //! let mut service = SolveService::new(SolveConfig::default());
 //! let l_g = g.laplacian();
@@ -45,16 +46,10 @@
 //! b[0] = 1.0;
 //! b[143] = -1.0;
 //!
-//! // Cold solve: factors the sparsifier, then runs PCG on L_G.
-//! let (x, report) = service.solve(&engine, &l_g, &b)?;
-//! assert!(report.refactorized);
+//! let (x, report) = service.solve(&snap, &l_g, &b)?;
 //! assert!(report.results[0].converged);
+//! assert_eq!(report.epoch, snap.epoch());
 //! assert!((x[0] - x[143]) > 0.0); // positive effective resistance
-//!
-//! // Warm solve: same epoch → the cached factor is reused.
-//! let (_, report) = service.solve(&engine, &l_g, &b)?;
-//! assert!(!report.refactorized);
-//! assert_eq!(service.stats().factorizations, 1);
 //! # Ok(())
 //! # }
 //! ```
@@ -64,12 +59,10 @@
 mod concurrent;
 mod service;
 
-pub use concurrent::{
-    ConcurrentSolveService, ConcurrentSolveStats, DrainReport, Served, Ticket, SNAPSHOT_PRECOND,
-};
+pub use concurrent::{ConcurrentSolveService, ConcurrentSolveStats, DrainReport, Served, Ticket};
 pub use service::{
-    unpreconditioned_cg, PrecondKind, PrecondStrategy, SolveConfig, SolveError, SolveReport,
-    SolveService, SolveStats,
+    unpreconditioned_cg, PrecondStrategy, SolveConfig, SolveError, SolveReport, SolveService,
+    SolveStats,
 };
 
 /// Crate-wide result alias.

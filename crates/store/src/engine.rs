@@ -13,13 +13,14 @@
 //! `instance_id` differs, by design).
 
 use crate::snapshot::{load_latest, prune_snapshots, write_snapshot};
-use crate::wal::{WalDir, WalRecord};
+use crate::wal::{write_frame, WalDir, WalRecord};
 use crate::StoreError;
 use ingrass::{
     BatchPublishReport, PublishReport, SetupConfig, SnapshotEngine, SnapshotReader, UpdateConfig,
     UpdateOp,
 };
 use ingrass_graph::Graph;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -305,16 +306,31 @@ impl PersistentEngine {
         ops: &[UpdateOp],
         cfg: &UpdateConfig,
     ) -> Result<BatchPublishReport, StoreError> {
+        self.apply_batch_with(ops, cfg, write_frame)
+    }
+
+    /// [`PersistentEngine::apply_batch`] with the WAL's frame write
+    /// factored out, so tests can inject I/O faults.
+    fn apply_batch_with<W>(
+        &mut self,
+        ops: &[UpdateOp],
+        cfg: &UpdateConfig,
+        write: W,
+    ) -> Result<BatchPublishReport, StoreError>
+    where
+        W: FnOnce(&mut File, &[u8], bool) -> std::io::Result<()>,
+    {
         if ops.is_empty() {
             return Ok(self.engine.apply_batch(ops, cfg)?);
         }
-        self.wal.append(
+        self.wal.append_with(
             &WalRecord::Batch {
                 cfg: cfg.clone(),
                 ops: ops.to_vec(),
             },
             self.policy.segment_bytes,
             self.policy.fsync,
+            write,
         )?;
         let report = self.engine.apply_batch(ops, cfg)?;
         self.note_logged()?;
@@ -399,5 +415,70 @@ impl PersistentEngine {
     /// Last WAL sequence number appended.
     pub fn wal_seq(&self) -> u64 {
         self.wal.last_seq()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wal::tests::injected_fault;
+    use ingrass::state::ServingState;
+    use std::time::Duration;
+
+    /// Setup wall-clock timings are the only fields a recovered engine may
+    /// legitimately disagree on.
+    fn normalized(mut s: ServingState) -> ServingState {
+        s.engine.setup_report.resistance_time = Duration::ZERO;
+        s.engine.setup_report.lrd_time = Duration::ZERO;
+        s.engine.setup_report.connectivity_time = Duration::ZERO;
+        s.engine.setup_report.total_time = Duration::ZERO;
+        s
+    }
+
+    fn insert(u: usize, v: usize, weight: f64) -> UpdateOp {
+        UpdateOp::Insert { u, v, weight }
+    }
+
+    #[test]
+    fn recovery_after_a_failed_append_matches_the_live_engine() {
+        let n = 24;
+        let edges: Vec<(usize, usize, f64)> = (0..n)
+            .map(|i| (i, (i + 1) % n, 1.0 + (i % 3) as f64))
+            .collect();
+        let h0 = Graph::from_edges(n, &edges).unwrap();
+        let ucfg = UpdateConfig::default();
+        for whole_frame in [false, true] {
+            let dir = std::env::temp_dir().join(format!(
+                "ingrass-engine-fault-{whole_frame}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            // No automatic checkpoints: recovery must replay every record.
+            let policy = StorePolicy::default().with_snapshot_every(0);
+            let mut live =
+                PersistentEngine::create(&dir, &h0, &SetupConfig::default(), policy).unwrap();
+            live.apply_batch(&[insert(0, 5, 1.5)], &ucfg).unwrap();
+            let version = live.engine().engine().version();
+            let failed =
+                live.apply_batch_with(&[insert(1, 9, 2.0)], &ucfg, injected_fault(whole_frame));
+            assert!(matches!(failed, Err(StoreError::Io(_))));
+            assert_eq!(
+                live.engine().engine().version(),
+                version,
+                "a batch that was not logged is not applied"
+            );
+            live.apply_batch(&[insert(2, 14, 0.5)], &ucfg).unwrap();
+            live.apply_batch(&[UpdateOp::Delete { u: 0, v: 5 }], &ucfg)
+                .unwrap();
+            let (wal_seq, state) = (live.wal_seq(), normalized(live.engine().export_state()));
+            drop(live);
+
+            let (recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
+            assert_eq!(report.wal_seq, wal_seq, "whole_frame {whole_frame}");
+            assert_eq!(report.replayed_batches, 3);
+            assert_eq!(report.truncated_bytes, 0);
+            assert_eq!(normalized(recovered.engine().export_state()), state);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -37,7 +37,7 @@
 
 use crate::{fnv1a, StoreError, FNV_OFFSET};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Segment-file magic: `INGWAL` + 2-digit format version.
@@ -86,6 +86,10 @@ pub struct WalDir {
     active_len: u64,
     /// Last sequence number in the log.
     last_seq: u64,
+    /// Set when a failed append could not be rolled back: the active
+    /// segment may end in bytes no acknowledged record owns, so every
+    /// later append is refused rather than written behind them.
+    failed: bool,
 }
 
 fn segment_path(dir: &Path, start_seq: u64) -> PathBuf {
@@ -263,6 +267,7 @@ impl WalDir {
             active_path,
             active_len,
             last_seq: last_seq.max(after_seq),
+            failed: false,
         };
         let load = WalLoad {
             records,
@@ -283,12 +288,40 @@ impl WalDir {
     ///
     /// Rotates to a fresh segment first when the active one has reached
     /// `segment_bytes`.
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] if the write or the fsync fails. The record is
+    /// then not in the log: the bytes it already wrote are truncated away,
+    /// and the next append takes the same sequence number at the same
+    /// offset. If that rollback fails too, this and every later append on
+    /// this `WalDir` fail without writing; reopening the directory drops
+    /// the unacknowledged tail as a torn one.
     pub fn append(
         &mut self,
         record: &WalRecord,
         segment_bytes: u64,
         sync: bool,
     ) -> Result<u64, StoreError> {
+        self.append_with(record, segment_bytes, sync, write_frame)
+    }
+
+    /// [`WalDir::append`] with the frame write factored out, so tests can
+    /// inject short writes and fsync errors.
+    pub(crate) fn append_with<W>(
+        &mut self,
+        record: &WalRecord,
+        segment_bytes: u64,
+        sync: bool,
+        write: W,
+    ) -> Result<u64, StoreError>
+    where
+        W: FnOnce(&mut File, &[u8], bool) -> io::Result<()>,
+    {
+        if self.failed {
+            return Err(StoreError::Io(io::Error::other(
+                "WAL refuses appends after a failed write it could not roll back",
+            )));
+        }
         if self.active_len >= segment_bytes.max(WAL_MAGIC.len() as u64 + 1) {
             self.rotate()?;
         }
@@ -307,9 +340,16 @@ impl WalDir {
         frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc.to_le_bytes());
         frame.extend_from_slice(&bytes);
-        self.active.write_all(&frame)?;
-        if sync {
-            self.active.sync_data()?;
+        if let Err(e) = write(&mut self.active, &frame, sync) {
+            // Some of the frame may be on disk; cut it off so the next
+            // record lands right after the last acknowledged one.
+            let len = self.active_len;
+            let rolled_back = self
+                .active
+                .set_len(len)
+                .and_then(|()| self.active.seek(SeekFrom::Start(len)));
+            self.failed = rolled_back.is_err();
+            return Err(e.into());
         }
         self.active_len += frame.len() as u64;
         self.last_seq = seq;
@@ -357,6 +397,16 @@ impl WalDir {
     pub fn segment_count(&self) -> Result<usize, StoreError> {
         Ok(list_segments(&self.dir)?.len())
     }
+}
+
+/// The production frame write of [`WalDir::append`]: the whole frame, then
+/// an fsync of its data when `sync` is set.
+pub(crate) fn write_frame(file: &mut File, frame: &[u8], sync: bool) -> io::Result<()> {
+    file.write_all(frame)?;
+    if sync {
+        file.sync_data()?;
+    }
+    Ok(())
 }
 
 /// Reads a whole WAL without opening it for append — the read-only half
@@ -421,7 +471,7 @@ pub fn read_wal(dir: &Path, after_seq: u64) -> Result<WalLoad, StoreError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ingrass::{UpdateConfig, UpdateOp};
 
@@ -437,6 +487,94 @@ mod tests {
             cfg: UpdateConfig::default(),
             ops: vec![UpdateOp::Insert { u, v, weight: 1.0 }],
         }
+    }
+
+    /// A frame write that fails after putting part of the frame on disk:
+    /// half of it (a short write), or all of it (an fsync error).
+    pub(crate) fn injected_fault(
+        whole_frame: bool,
+    ) -> impl FnOnce(&mut File, &[u8], bool) -> io::Result<()> {
+        move |file, frame, _| {
+            let written = if whole_frame {
+                frame.len()
+            } else {
+                frame.len() / 2
+            };
+            file.write_all(&frame[..written])?;
+            Err(io::Error::other("injected I/O fault"))
+        }
+    }
+
+    #[test]
+    fn failed_append_is_rolled_back_before_the_next_record() {
+        // A 64-byte segment budget rotates after every record, so the
+        // damage a failed write leaves behind would sit in a non-final
+        // segment, where open refuses the whole store.
+        for segment_bytes in [u64::MAX, 64] {
+            for whole_frame in [false, true] {
+                let dir = tmpdir(&format!("fault-{whole_frame}-{segment_bytes}"));
+                let (mut wal, _) = WalDir::open(&dir, 0).unwrap();
+                wal.append(&batch(0, 1), segment_bytes, true).unwrap();
+                let failed = wal.append_with(
+                    &batch(7, 8),
+                    segment_bytes,
+                    true,
+                    injected_fault(whole_frame),
+                );
+                assert!(matches!(failed, Err(StoreError::Io(_))));
+                assert_eq!(
+                    wal.last_seq(),
+                    1,
+                    "a failed append takes no sequence number"
+                );
+                for k in 2..6 {
+                    let seq = wal.append(&batch(k, k + 1), segment_bytes, true).unwrap();
+                    assert_eq!(seq, k as u64);
+                }
+                drop(wal);
+                let (_, load) = WalDir::open(&dir, 0).unwrap();
+                let want: Vec<(u64, WalRecord)> = [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)]
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (u, v))| (i as u64 + 1, batch(u, v)))
+                    .collect();
+                assert_eq!(
+                    load.records, want,
+                    "whole_frame {whole_frame}, segment_bytes {segment_bytes}"
+                );
+                assert_eq!(load.truncated_bytes, 0);
+                fs::remove_dir_all(&dir).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn append_after_a_failed_rollback_is_refused() {
+        let dir = tmpdir("norollback");
+        let (mut wal, _) = WalDir::open(&dir, 0).unwrap();
+        wal.append(&batch(0, 1), u64::MAX, true).unwrap();
+        let path = wal.active_path.clone();
+        // The fault also leaves a read-only handle behind, so the
+        // truncation that would undo the half-written frame fails too.
+        let failed = wal.append_with(&batch(7, 8), u64::MAX, true, |file, frame, _| {
+            file.write_all(&frame[..frame.len() / 2])?;
+            *file = File::open(&path)?;
+            Err(io::Error::other("injected I/O fault"))
+        });
+        assert!(failed.is_err());
+        assert!(matches!(
+            wal.append(&batch(2, 3), u64::MAX, true),
+            Err(StoreError::Io(_))
+        ));
+        assert_eq!(wal.last_seq(), 1);
+        drop(wal);
+        // Reopening drops the unacknowledged half frame as a torn tail,
+        // and appends resume after the last acknowledged record.
+        let (mut wal, load) = WalDir::open(&dir, 0).unwrap();
+        assert_eq!(load.records, vec![(1, batch(0, 1))]);
+        assert!(load.truncated_bytes > 0);
+        assert_eq!(wal.append(&batch(2, 3), u64::MAX, true).unwrap(), 2);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,14 +5,16 @@
 //! batches; between batches, clients ask for potentials on the *current*
 //! graph (`L_G x = b`: voltage drops, commute distances, diffusion
 //! states). The inGRASS engine keeps the sparsifier current in `O(log N)`
-//! per edit, and the `SolveService` answers each request with PCG
-//! preconditioned by a cached factorization of that sparsifier:
+//! per edit, every batch publishes a snapshot carrying an exact factor of
+//! that sparsifier, and the `SolveService` answers each request with PCG
+//! preconditioned by the newest snapshot's factor:
 //!
-//! * ordinary update batches leave the engine epoch unchanged → requests
-//!   are served **warm** off the cached factor;
+//! * each publish either **patches** the previous factor with rank-1
+//!   up/downdates or **refactors** it, as the engine's `FactorPolicy`
+//!   decides from the batch size;
 //! * when accumulated churn trips the drift policy, the engine re-runs
-//!   setup, the epoch moves, and the next request transparently pays one
-//!   refactorization (**cold**) before going warm again.
+//!   setup inside the batch, the epoch moves, and that batch's publish
+//!   rebuilds the factor for the new epoch.
 //!
 //! Run with: `cargo run --release --example laplacian_server`
 
@@ -37,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // demo shows a mid-stream re-setup (production would churn for much
     // longer before tripping the default 20 % threshold).
     let h0 = GrassSparsifier::default().by_offtree_density(&g0, 0.30)?;
-    let mut engine = InGrassEngine::setup(
+    let mut engine = SnapshotEngine::setup(
         &h0.graph,
         &SetupConfig::default().with_drift(DriftPolicy {
             max_deleted_weight_fraction: 0.004,
@@ -50,12 +52,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let churn = ChurnStream::paper_default(&g0, 42 ^ 0xc4a2);
     let mut g_live = DynGraph::from_graph(&g0);
 
-    println!("batch  ops  epoch  cache  factor      pcg-iters  residual");
+    let mut publish_seconds = 0.0;
+    println!("batch  ops  epoch  publish  publish-ms  pcg-iters  residual");
     for (i, batch) in churn.batches().iter().enumerate() {
-        // 1. The graph changes; the engine follows incrementally.
+        // 1. The graph changes; the engine follows incrementally and
+        // publishes a snapshot of the new state.
         let ops = churn_to_update_ops(batch);
         ingrass_repro::core::replay_ops(&mut g_live, &ops)?;
         let update = engine.apply_batch(&ops, &UpdateConfig::default())?;
+        let publish = update.publish.expect("a non-empty batch publishes");
+        publish_seconds += publish.publish_seconds;
 
         // 2. Solve requests against the *current* graph: a small multi-RHS
         // batch of terminal-pair injections.
@@ -68,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 b
             })
             .collect();
-        let (xs, solve) = service.solve_batch(&engine, &l_g, &rhss)?;
+        let (xs, solve) = service.solve_batch(&engine.snapshot(), &l_g, &rhss)?;
 
         let worst_residual = solve
             .results
@@ -76,19 +82,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|r| r.residual_norm)
             .fold(0.0f64, f64::max);
         println!(
-            "{:>5} {:>4} {:>6} {:>6} {:>9} {:>10} {:>9.2e}{}",
+            "{:>5} {:>4} {:>6} {:>8} {:>11.2} {:>10} {:>9.2e}{}",
             i,
             ops.len(),
             solve.epoch,
-            if solve.refactorized { "COLD" } else { "warm" },
-            if solve.refactorized {
-                format!("{:.2} ms", solve.factor_seconds * 1e3)
+            if publish.factor_updated {
+                "patch"
             } else {
-                "cached".to_string()
+                "refactor"
             },
+            publish.publish_seconds * 1e3,
             solve.max_iterations(),
             worst_residual,
-            if update.resetup.is_some() {
+            if update.update.resetup.is_some() {
                 "   ← drift re-setup this batch"
             } else {
                 ""
@@ -100,14 +106,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = service.stats();
     println!(
-        "\nserved {} solves over {} batches: {} factorization(s), {} warm batch(es), {} total PCG iterations",
-        stats.solves, stats.batches, stats.factorizations, stats.cache_hits, stats.iterations_total
+        "\nserved {} solves over {} batches: {} total PCG iterations",
+        stats.solves, stats.batches, stats.iterations_total
     );
     println!(
+        "publishes: {} patched, {} refactored (incl. setup), {:.1} ms in churn publishes",
+        engine.factor_updates(),
+        engine.factor_refactors(),
+        publish_seconds * 1e3
+    );
+    let inner = engine.engine();
+    println!(
         "engine: {} epochs ({} drift re-setups), version {}",
-        engine.epoch() + 1,
-        engine.resetups(),
-        engine.version()
+        inner.epoch() + 1,
+        inner.resetups(),
+        inner.version()
     );
     Ok(())
 }

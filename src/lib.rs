@@ -15,8 +15,8 @@
 //! | [`gen`] | `ingrass-gen` | workload generators + the paper's benchmark suite |
 //! | [`baselines`] | `ingrass-baselines` | GRASS-style from-scratch sparsifier, Random baseline |
 //! | [`metrics`] | `ingrass-metrics` | relative condition number, density, distortion stats |
-//! | [`par`] | `ingrass-par` | deterministic parallel primitives (`par_map`/`scope`, `INGRASS_THREADS`) |
-//! | [`solve`] | `ingrass-solve` | sparsifier-preconditioned Laplacian solve services (cached factorizations, multi-RHS PCG, concurrent snapshot serving) |
+//! | [`par`] | `ingrass-par` | deterministic parallel primitives (`par_map`, `split_even`, `INGRASS_THREADS`) |
+//! | [`solve`] | `ingrass-solve` | sparsifier-preconditioned Laplacian solve services (multi-RHS PCG against published snapshots, concurrent snapshot serving) |
 //! | [`store`] | `ingrass-store` | durable WAL + snapshot persistence, crash recovery via [`PersistentEngine`](store::PersistentEngine) |
 //! | [`traffic`] | `ingrass-traffic` | serving front end: bounded admission, weighted-fair dequeue, deadline shedding, p99 SLO accounting |
 //!
@@ -102,8 +102,7 @@ pub mod prelude {
         ExactResistance, JlConfig, JlEmbedder, KrylovConfig, KrylovEmbedder, ResistanceEstimator,
     };
     pub use ingrass_solve::{
-        ConcurrentSolveService, PrecondKind, PrecondStrategy, SolveConfig, SolveReport,
-        SolveService,
+        ConcurrentSolveService, PrecondStrategy, SolveConfig, SolveReport, SolveService,
     };
     pub use ingrass_store::{PersistentEngine, RecoveryReport, StoreError, StorePolicy};
     pub use ingrass_traffic::{

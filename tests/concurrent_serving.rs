@@ -135,7 +135,7 @@ fn four_readers_solve_while_writer_replays_200_churn_batches() {
                     b[u] = 1.0;
                     b[v] = -1.0;
                     let (xs, report) = svc
-                        .solve_snapshot_batch(&snap, &lap, &[b.clone()])
+                        .solve_batch(&snap, &lap, &[b.clone()])
                         .expect("snapshot solve");
                     assert!(
                         report.all_converged(),

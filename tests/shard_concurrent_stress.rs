@@ -116,7 +116,7 @@ fn stress(threads: Option<usize>) {
                     b[u] = 1.0;
                     b[v] = -1.0;
                     let (xs, report) = svc
-                        .solve_snapshot_batch(&snap, &lap, std::slice::from_ref(&b))
+                        .solve_batch(&snap, &lap, std::slice::from_ref(&b))
                         .expect("snapshot solve");
                     assert!(
                         report.all_converged(),

@@ -140,7 +140,7 @@ fn run_parity(seed: u64) {
         let lap = current.to_graph().laplacian();
         let b = seeded_rhs(n, seed ^ ((i as u64) << 8));
         let (xs, solve_report) = svc
-            .solve_snapshot_batch(&snap, &lap, std::slice::from_ref(&b))
+            .solve_batch(&snap, &lap, std::slice::from_ref(&b))
             .expect("stitched snapshot solve");
         assert!(
             solve_report.all_converged(),

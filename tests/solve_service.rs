@@ -1,9 +1,9 @@
 //! Acceptance suite for the solve subsystem on the small-scale bench
-//! cases: sparsifier-preconditioned PCG on the original Laplacian must
-//! converge in at most 1/3 the iterations of unpreconditioned CG, and a
-//! warm (cached-factorization) solve after a non-re-setup update batch
-//! must skip refactorization. Mirrors the `solve/<case>` scenarios the
-//! perf harness records in `BENCH_2.json`.
+//! cases: PCG on the original Laplacian, preconditioned by a published
+//! snapshot's factor, must converge in at most 1/3 the iterations of
+//! unpreconditioned CG, and a held snapshot must keep serving while its
+//! engine mutates. Mirrors the `solve/<case>` scenarios the perf harness
+//! records in `BENCH_2.json`.
 
 use ingrass_repro::linalg::CsrMatrix;
 use ingrass_repro::prelude::*;
@@ -15,15 +15,19 @@ use ingrass_repro::test_seed;
 const SCALE: f64 = 0.05;
 const SOLVE_DENSITY: f64 = 0.30;
 
-fn solve_fixture(case: TestCase, seed: u64) -> (Graph, CsrMatrix, InGrassEngine) {
+/// The case's graph, its Laplacian, and a solve-grade sparsifier of it.
+fn solve_fixture(case: TestCase, seed: u64) -> (Graph, CsrMatrix, Graph) {
     let g = case.build(SCALE, seed);
     let h0 = GrassSparsifier::default()
         .by_offtree_density(&g, SOLVE_DENSITY)
         .expect("solve-grade sparsifier")
         .graph;
-    let engine = InGrassEngine::setup(&h0, &SetupConfig::default().with_seed(seed)).expect("setup");
     let l_g = g.laplacian();
-    (g, l_g, engine)
+    (g, l_g, h0)
+}
+
+fn setup(h0: &Graph, seed: u64) -> SnapshotEngine {
+    SnapshotEngine::setup(h0, &SetupConfig::default().with_seed(seed)).expect("setup")
 }
 
 fn pair_rhs(n: usize, u: usize, v: usize) -> Vec<f64> {
@@ -42,11 +46,12 @@ fn preconditioned_pcg_needs_at_most_a_third_of_cg_iterations() {
         TestCase::G2Circuit,
         TestCase::DelaunayN18,
     ] {
-        let (g, l_g, engine) = solve_fixture(case, seed);
+        let (g, l_g, h0) = solve_fixture(case, seed);
+        let snap = setup(&h0, seed).snapshot();
         let n = g.num_nodes();
         let rhss = vec![pair_rhs(n, n / 7, n - 3), pair_rhs(n, 1, n / 2)];
         let mut svc = SolveService::new(SolveConfig::default());
-        let (_, report) = svc.solve_batch(&engine, &l_g, &rhss).expect("pcg batch");
+        let (_, report) = svc.solve_batch(&snap, &l_g, &rhss).expect("pcg batch");
         assert!(
             report.all_converged(),
             "{}: {:?}",
@@ -69,191 +74,101 @@ fn preconditioned_pcg_needs_at_most_a_third_of_cg_iterations() {
 
 #[test]
 fn jacobi_and_tree_fallback_strategies_converge() {
-    // Only Cholesky was pinned by this suite before; the fallbacks must
-    // also converge on a real bench case (they are what `Auto` degrades to
-    // above the node ceiling). Cholesky stays the strongest of the three.
+    // The per-call strategies read the snapshot's sparsifier graph and
+    // Laplacian; they must converge on a real bench case for a mono
+    // snapshot and for a sharded engine's stitched one. The snapshot's
+    // exact factor stays the strongest of the three.
     let seed = test_seed();
-    let (g, l_g, engine) = solve_fixture(TestCase::Fe4elt2, seed);
+    let (g, l_g, h0) = solve_fixture(TestCase::Fe4elt2, seed);
     let n = g.num_nodes();
     let rhss = vec![pair_rhs(n, 0, n - 1), pair_rhs(n, n / 3, (2 * n) / 3)];
+    let sharded = ShardedEngine::setup(
+        &h0,
+        &SetupConfig::default().with_seed(seed),
+        &ShardedConfig::default(),
+    )
+    .expect("sharded setup");
 
-    let mut iterations = std::collections::HashMap::new();
-    for (strategy, expect) in [
-        (PrecondStrategy::Cholesky, PrecondKind::Cholesky),
-        (PrecondStrategy::Jacobi, PrecondKind::Jacobi),
-        (PrecondStrategy::Tree, PrecondKind::Tree),
+    for (label, snap) in [
+        ("mono", setup(&h0, seed).snapshot()),
+        ("sharded", sharded.snapshot()),
     ] {
-        let mut svc = SolveService::new(SolveConfig {
-            strategy,
-            ..Default::default()
-        });
-        let (_, report) = svc.solve_batch(&engine, &l_g, &rhss).expect("batch");
-        assert_eq!(report.precond, expect, "{strategy:?} resolved wrong");
-        assert!(
-            report.all_converged(),
-            "{strategy:?} failed to converge: {:?}",
-            report.results
-        );
-        if expect == PrecondKind::Cholesky {
-            assert!(report.factor_nnz > 0, "cholesky must report factor fill");
-        } else {
-            assert_eq!(report.factor_nnz, 0, "{strategy:?} carries no factor");
+        let mut iterations = Vec::new();
+        for strategy in [
+            PrecondStrategy::Cholesky,
+            PrecondStrategy::Jacobi,
+            PrecondStrategy::Tree,
+        ] {
+            let mut svc = SolveService::new(SolveConfig {
+                strategy,
+                ..Default::default()
+            });
+            let (_, report) = svc.solve_batch(&snap, &l_g, &rhss).expect("batch");
+            assert!(
+                report.all_converged(),
+                "{label} {strategy:?} failed to converge: {:?}",
+                report.results
+            );
+            if strategy == PrecondStrategy::Cholesky {
+                assert!(report.factor_nnz > 0, "cholesky must report factor fill");
+            } else {
+                assert_eq!(report.factor_nnz, 0, "{strategy:?} carries no factor");
+            }
+            iterations.push(report.total_iterations());
         }
-        iterations.insert(expect, report.total_iterations());
-    }
-    // The exact factor dominates both fallbacks on iteration count.
-    assert!(iterations[&PrecondKind::Cholesky] <= iterations[&PrecondKind::Jacobi]);
-    assert!(iterations[&PrecondKind::Cholesky] <= iterations[&PrecondKind::Tree]);
-}
-
-#[test]
-fn auto_picks_the_documented_strategy_at_the_node_ceiling() {
-    // Documented: Cholesky while nodes ≤ ceiling, spanning tree above —
-    // pin both sides of the boundary exactly.
-    let seed = test_seed();
-    let (g, l_g, engine) = solve_fixture(TestCase::Fe4elt2, seed);
-    let n = g.num_nodes();
-    for (ceiling, expect) in [
-        (n, PrecondKind::Cholesky), // at the ceiling: still Cholesky
-        (n - 1, PrecondKind::Tree), // one past it: tree fallback
-        (usize::MAX, PrecondKind::Cholesky),
-        (1, PrecondKind::Tree),
-    ] {
-        let mut svc = SolveService::new(SolveConfig {
-            strategy: PrecondStrategy::Auto {
-                max_cholesky_nodes: ceiling,
-            },
-            ..Default::default()
-        });
-        let (_, report) = svc
-            .solve(&engine, &l_g, &pair_rhs(n, 1, n - 2))
-            .expect("auto solve");
-        assert_eq!(
-            report.precond, expect,
-            "Auto at ceiling {ceiling} with n = {n} resolved wrong"
+        // The exact factor dominates both per-call preconditioners.
+        assert!(
+            iterations[0] <= iterations[1] && iterations[0] <= iterations[2],
+            "{label}: cholesky/jacobi/tree iterations {iterations:?}"
         );
-        assert!(report.all_converged());
     }
 }
 
 #[test]
 fn engine_stats_stay_accessible_between_solves() {
-    // Regression for the borrow story: the service must borrow the engine
-    // *shared* and only for the duration of one call, so stats accessors
-    // and further update batches interleave freely with solves. (A service
-    // holding `&mut Engine` across a batch would fail to compile here.)
+    // The service borrows no engine: solves, stats accessors and update
+    // batches interleave freely, and a held snapshot keeps serving across
+    // arbitrary engine mutations — including a re-setup.
     let seed = test_seed();
-    let (g, l_g, mut engine) = solve_fixture(TestCase::Fe4elt2, seed);
+    let (g, l_g, h0) = solve_fixture(TestCase::Fe4elt2, seed);
     let n = g.num_nodes();
+    let mut engine = setup(&h0, seed);
     let mut svc = SolveService::new(SolveConfig::default());
     let stream = InsertionStream::paper_default(&g, seed ^ 0x57ea);
+    let first = engine.snapshot();
 
     let mut epochs = Vec::new();
     for batch in stream.batches().iter().take(3) {
+        let snap = engine.snapshot();
         let (_, report) = svc
-            .solve(&engine, &l_g, &pair_rhs(n, 0, n - 1))
+            .solve(&snap, &l_g, &pair_rhs(n, 0, n - 1))
             .expect("solve");
-        // Stats accessors between solves, while the service is live.
-        epochs.push((engine.epoch(), engine.resetups(), engine.version()));
-        assert_eq!(report.epoch, engine.epoch());
-        // And a mutation between solves: the service's borrow has ended.
+        assert!(report.all_converged());
+        // Stats accessors between solves, while the snapshot is held.
+        let inner = engine.engine();
+        epochs.push((inner.epoch(), inner.resetups(), inner.version()));
+        assert_eq!(report.epoch, inner.epoch());
+        // And a mutation while the snapshot is still held.
+        let ops: Vec<UpdateOp> = batch
+            .iter()
+            .map(|&(u, v, weight)| UpdateOp::Insert { u, v, weight })
+            .collect();
         engine
-            .insert_batch(batch, &UpdateConfig::default())
+            .apply_batch(&ops, &UpdateConfig::default())
             .expect("update between solves");
     }
     assert_eq!(epochs.len(), 3);
-    assert!(svc.stats().batches >= 3);
+    assert_eq!(svc.stats().batches, 3);
 
-    // The snapshot path narrows further: no engine borrow at all while a
-    // batch is served, so a held snapshot keeps serving across arbitrary
-    // engine mutations — including a re-setup.
-    let snapshot_engine = SnapshotEngine::from_engine(engine).expect("wrap");
-    let snap = snapshot_engine.snapshot();
-    let mut snapshot_engine = snapshot_engine;
-    snapshot_engine.resetup().expect("resetup");
+    engine.resetup().expect("resetup");
     let (_, report) = svc
-        .solve_snapshot_batch(&snap, &l_g, &[pair_rhs(n, 2, n / 2)])
-        .expect("snapshot solve");
+        .solve(&first, &l_g, &pair_rhs(n, 2, n / 2))
+        .expect("held snapshot solve");
     assert!(report.all_converged());
-    assert!(!report.refactorized);
-    assert_eq!(report.epoch, snap.epoch());
+    assert_eq!(report.epoch, first.epoch());
     assert_eq!(
-        snap.epoch() + 1,
-        snapshot_engine.engine().epoch(),
+        first.epoch() + 1,
+        engine.engine().epoch(),
         "snapshot kept its pre-resetup epoch tag"
     );
-    assert_eq!(svc.stats().snapshot_batches, 1);
-}
-
-#[test]
-fn warm_solve_after_update_batch_skips_refactorization() {
-    let seed = test_seed();
-    // One representative case is enough for the cache lifecycle (the ratio
-    // test above already walks the whole axis); fe_4elt2 is the smallest.
-    let case = TestCase::Fe4elt2;
-    let (g, l_g, mut engine) = solve_fixture(case, seed);
-    let n = g.num_nodes();
-    let mut svc = SolveService::new(SolveConfig::default());
-
-    let (_, cold) = svc
-        .solve(&engine, &l_g, &pair_rhs(n, 0, n - 1))
-        .expect("cold");
-    assert!(cold.refactorized);
-    assert!(cold.factor_seconds > 0.0);
-    assert_eq!(svc.stats().factorizations, 1);
-
-    // A paper-shaped insertion batch: drift stays below the default policy
-    // (insertions add no deleted-weight/distortion drift), so the epoch —
-    // and therefore the cached factorization — must survive.
-    let stream = InsertionStream::paper_default(&g, seed ^ 0x57ea);
-    let report = engine
-        .insert_batch(&stream.batches()[0], &UpdateConfig::default())
-        .expect("update batch");
-    assert!(
-        report.resetup.is_none(),
-        "insert batch unexpectedly re-setup"
-    );
-
-    let (_, warm) = svc
-        .solve(&engine, &l_g, &pair_rhs(n, 0, n - 1))
-        .expect("warm");
-    assert!(!warm.refactorized, "warm solve refactorized");
-    assert_eq!(warm.factor_seconds, 0.0);
-    assert!(warm.all_converged());
-    assert_eq!(svc.stats().factorizations, 1);
-    assert_eq!(svc.stats().cache_hits, 1);
-
-    // A drift-triggered re-setup invalidates: force drift with deletions
-    // until the policy fires, then the next solve must rebuild.
-    let ucfg = UpdateConfig::default();
-    let h_now = engine.sparsifier_graph();
-    let mut resetup_seen = false;
-    for e in h_now.edges().iter().take(h_now.num_edges() / 2) {
-        let r = engine
-            .apply_batch(
-                &[UpdateOp::Delete {
-                    u: e.u.index(),
-                    v: e.v.index(),
-                }],
-                &ucfg,
-            )
-            .expect("delete");
-        if r.resetup.is_some() {
-            resetup_seen = true;
-            break;
-        }
-    }
-    assert!(
-        resetup_seen,
-        "deletion churn never crossed the drift policy"
-    );
-    let (_, rebuilt) = svc
-        .solve(&engine, &l_g, &pair_rhs(n, 0, n - 1))
-        .expect("rebuilt");
-    assert!(
-        rebuilt.refactorized,
-        "re-setup did not invalidate the cache"
-    );
-    assert_eq!(rebuilt.epoch, engine.epoch());
-    assert_eq!(svc.stats().factorizations, 2);
 }
