@@ -1,15 +1,9 @@
-//! Minimal JSON value type with writer and parser.
+//! Minimal JSON parser.
 //!
-//! The perf harness writes schema-versioned `BENCH_*.json` files and the CI
-//! regression gate reads the checked-in baseline back; the build environment
-//! has no registry access (no `serde`), so this module implements the small
-//! JSON subset those files use: objects, arrays, strings, finite numbers,
-//! booleans, and `null`. Non-finite numbers serialize as `null` (JSON has no
-//! NaN/∞), and the parser accepts arbitrary standard JSON produced by this
-//! writer or by hand-edited baselines.
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+//! `compare` reads `BENCHMARK.json` and the result line every perfbench
+//! run prints; the build environment has no registry access (no `serde`),
+//! so this module parses standard JSON into a small value type: objects,
+//! arrays, strings, numbers, booleans and `null`.
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,7 +18,7 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object. Insertion order is preserved (stable diffs between runs).
+    /// An object, members in document order.
     Obj(Vec<(String, Json)>),
 }
 
@@ -61,71 +55,6 @@ impl Json {
         }
     }
 
-    /// Serializes with 2-space indentation and a trailing newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Rust's shortest round-trip formatting; integral values
-                    // print bare ("1", not "1.0"), which every JSON reader
-                    // (including ours) accepts as a number.
-                    let s = format!("{x}");
-                    out.push_str(&s);
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-
     /// Parses one JSON document (rejecting trailing garbage).
     ///
     /// # Errors
@@ -140,65 +69,6 @@ impl Json {
         }
         Ok(value)
     }
-}
-
-/// Builds an object from key/value pairs — the writer-side convenience the
-/// perf harness uses.
-pub fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// Flattens `scenarios[*].{key→num}` maps for the regression gate: walks an
-/// emitted document and returns `scenario_id → metric map`.
-pub fn scenario_metrics(doc: &Json) -> BTreeMap<String, BTreeMap<String, f64>> {
-    let mut out = BTreeMap::new();
-    let Some(scenarios) = doc.get("scenarios").and_then(Json::as_arr) else {
-        return out;
-    };
-    for s in scenarios {
-        let Some(id) = s.get("id").and_then(Json::as_str) else {
-            continue;
-        };
-        let mut metrics = BTreeMap::new();
-        if let Json::Obj(members) = s {
-            for (k, v) in members {
-                if let Some(x) = v.as_f64() {
-                    metrics.insert(k.clone(), x);
-                }
-            }
-        }
-        out.insert(id.to_string(), metrics);
-    }
-    out
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -350,32 +220,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_a_bench_like_document() {
-        let doc = obj(vec![
-            ("schema_version", Json::Num(1.0)),
-            ("scale", Json::Str("tiny".into())),
-            (
-                "scenarios",
-                Json::Arr(vec![obj(vec![
-                    ("id", Json::Str("fe_4elt2/krylov".into())),
-                    ("setup_wall_s", Json::Num(0.0123)),
-                    ("condition_final", Json::Num(87.5)),
-                ])]),
-            ),
-        ]);
-        let text = doc.to_pretty();
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back, doc);
-        assert_eq!(
-            back.get("scenarios").unwrap().as_arr().unwrap()[0]
-                .get("setup_wall_s")
-                .unwrap()
-                .as_f64(),
-            Some(0.0123)
-        );
-    }
-
-    #[test]
     fn parses_hand_written_json() {
         let src = r#" { "a": [1, 2.5e-3, -4], "b": {"nested": true}, "c": null,
                         "s": "q\"\\\nA" } "#;
@@ -391,31 +235,5 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "{} garbage", "\"open"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn non_finite_numbers_serialize_as_null() {
-        let v = Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)]);
-        let text = v.to_pretty();
-        assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
-        assert_eq!(
-            Json::parse(&text).unwrap(),
-            Json::Arr(vec![Json::Null, Json::Null])
-        );
-    }
-
-    #[test]
-    fn scenario_metrics_flattens_numbers_only() {
-        let doc = obj(vec![(
-            "scenarios",
-            Json::Arr(vec![obj(vec![
-                ("id", Json::Str("x/y".into())),
-                ("setup_wall_s", Json::Num(1.5)),
-                ("backend", Json::Str("krylov".into())),
-            ])]),
-        )]);
-        let m = scenario_metrics(&doc);
-        assert_eq!(m["x/y"]["setup_wall_s"], 1.5);
-        assert!(!m["x/y"].contains_key("backend"));
     }
 }

@@ -9,12 +9,12 @@
 //! | `table3` | Table III — robustness across initial densities | `cargo run -p ingrass-bench --release --bin table3` |
 //! | `fig4`   | Fig. 4 — runtime scalability (CSV series) | `cargo run -p ingrass-bench --release --bin fig4` |
 //! | `ablation` | ours — tree/selection/backend quality ablations | `cargo run -p ingrass-bench --release --bin ablation` |
-//! | `perf` | ours — deterministic perf trajectory (`BENCH_*.json`) | `cargo run -p ingrass-bench --release --bin perf -- --scale tiny` |
+//! | `compare` | ours — paired perfbench runs of two builds, judged against `BENCHMARK.json` | `cargo run -p ingrass-bench --release --bin compare -- --base <bin> --head <bin>` |
 //!
 //! The table/figure binaries accept `--scale <f64>` (graph size as a
 //! fraction of the paper's |V|, default 1/200), `--seed <u64>`, and
-//! `--cases <csv names>`. The `perf` binary has its own flag set (named
-//! scales, thread override, baseline gate) — see its module docs.
+//! `--cases <csv names>`. `compare` takes two perfbench binaries plus
+//! `--pairs` and `--seed` — see its module docs.
 
 pub mod json;
 

@@ -5,8 +5,8 @@ use std::time::{Duration, Instant};
 /// Wall-clock stopwatch with per-phase laps.
 ///
 /// One code path for every timing the workspace records: the engine's
-/// [`SetupReport`]/[`UpdateReport`] phases and the `ingrass-bench` perf
-/// harness's scenario breakdowns all read from this, so their numbers are
+/// [`SetupReport`]/[`UpdateReport`] phases, publish times and the solve
+/// services' drain times all read from this, so their numbers are
 /// directly comparable.
 ///
 /// ```

@@ -31,8 +31,8 @@
 //! Schur-complement block factor ([`StitchedPrecond`] — per-shard interior
 //! back-substitution, a dense boundary solve, and a correction pass),
 //! wrapped in the same [`SparsifierSnapshot`] the single-writer
-//! [`crate::SnapshotEngine`] publishes. Readers, the solve layer, the
-//! perf harness, and persistence therefore work unchanged.
+//! [`crate::SnapshotEngine`] publishes. Readers, the solve layer,
+//! perfbench, and persistence therefore work unchanged.
 //!
 //! # Determinism
 //!
@@ -690,7 +690,7 @@ impl ShardedEngine {
 
     /// A new reader subscription — the same handle type
     /// [`crate::SnapshotEngine::reader`] hands out, so the solve service
-    /// and perf harness consume sharded snapshots unchanged.
+    /// and perfbench consume sharded snapshots unchanged.
     pub fn reader(&self) -> SnapshotReader {
         SnapshotReader::from_cell(Arc::clone(&self.cell))
     }

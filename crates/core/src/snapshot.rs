@@ -387,7 +387,7 @@ pub struct PublishReport {
     pub sequence: u64,
     /// Wall seconds spent building the snapshot (graph freeze + Laplacian
     /// assembly + factor maintenance + resistance summary) — the
-    /// publish latency the `serve/<case>` perf scenarios track.
+    /// publish latency perfbench reports as `snapshot.publish_s`.
     pub publish_seconds: f64,
     /// Stored entries of the snapshot's Cholesky factor.
     pub factor_nnz: usize,

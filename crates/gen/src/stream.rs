@@ -211,8 +211,8 @@ impl ChurnConfig {
     /// Reweight share of the paper-shaped mix.
     pub const PAPER_REWEIGHT_FRACTION: f64 = 0.15;
 
-    /// The paper-shaped churn sizing shared by the perf harness and the
-    /// parity tests: ~24 % of `g`'s off-tree edge count over 10 batches
+    /// The paper-shaped churn sizing shared by perfbench and the parity
+    /// tests: ~24 % of `g`'s off-tree edge count over 10 batches
     /// (mirroring [`InsertionStream::paper_default`]), with a quarter of
     /// the operations deleting and 15 % reweighting, 85 % local (2-hop)
     /// insertions.
@@ -236,7 +236,8 @@ impl ChurnConfig {
 /// labelling (typically a sharded engine's node → shard assignment) plus
 /// two biases that shape where insertions land.
 ///
-/// The sharded-engine perf scenarios use this to stress the router: a
+/// perfbench's `shard` workload and the shard parity suite use this to
+/// stress the router: a
 /// `hot_fraction` of intra-label insertions all land in `hot_label`
 /// (load imbalance), and a `cross_fraction` of insertions straddle two
 /// labels (boundary-graph growth). Deletes and reweights are unaffected —

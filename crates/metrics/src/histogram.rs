@@ -10,8 +10,9 @@
 //! Recording is O(1), [`merge`](LatencyHistogram::merge) is element-wise,
 //! and [`quantile`](LatencyHistogram::quantile) is a deterministic
 //! function of the recorded multiset — two runs that record the same
-//! samples report bit-identical percentiles, which is what lets the perf
-//! gate pin p50/p95/p99 at a fixed seed across worker widths.
+//! samples report bit-identical percentiles, which is what lets the
+//! traffic overload suite pin p50/p95/p99 at a fixed seed across worker
+//! widths.
 
 /// Buckets per decade of the log-scale bank.
 const PER_DECADE: usize = 8;

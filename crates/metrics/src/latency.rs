@@ -4,7 +4,7 @@
 /// (seconds): count, total, mean, min, max.
 ///
 /// The serving layer (snapshot publishes, solve-drain rounds) records one
-/// sample per event; the perf harness and service stats report the summary.
+/// sample per event; publish reports and service stats carry the summary.
 /// Two summaries can be [`merged`](LatencySummary::merge), so per-thread
 /// accumulators combine without locks.
 ///

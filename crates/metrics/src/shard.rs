@@ -1,15 +1,16 @@
 //! Per-shard work statistics for the sharded multi-writer engine.
 //!
 //! A [`ShardStats`] folds the per-shard update-latency accumulators into
-//! one mergeable summary and reports the load-balance figure the bench
-//! gates care about: the imbalance ratio `max shard work / mean shard
-//! work`, measured in routed operations so it is deterministic even on a
-//! single-CPU CI container where wall-clock ratios are meaningless.
+//! one mergeable summary and reports the load-balance figure the shard
+//! parity suite asserts on: the imbalance ratio `max shard work / mean
+//! shard work`, measured in routed operations so it is deterministic even
+//! on a single-CPU CI container where wall-clock ratios are meaningless.
 
 use crate::{LatencyHistogram, LatencySummary};
 
 /// Aggregated view of how work spread across the shards of a sharded
-/// engine, surfaced through `PublishReport` and the perf harness JSON.
+/// engine, surfaced through `PublishReport` and perfbench's
+/// `shard.imbalance`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ShardStats {
     /// Number of shards the engine is running.

@@ -421,7 +421,7 @@ impl PersistentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::tests::injected_fault;
+    use crate::wal::tests::{injected_fault, torn_rotation};
     use ingrass::state::ServingState;
     use std::time::Duration;
 
@@ -478,6 +478,41 @@ mod tests {
             assert_eq!(report.replayed_batches, 3);
             assert_eq!(report.truncated_bytes, 0);
             assert_eq!(normalized(recovered.engine().export_state()), state);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_torn_rotation_header_does_not_refuse_the_store() {
+        let n = 24;
+        let edges: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect();
+        let h0 = Graph::from_edges(n, &edges).unwrap();
+        let ucfg = UpdateConfig::default();
+        let policy = StorePolicy::default().with_snapshot_every(0);
+        for len in [0, 3] {
+            let dir = std::env::temp_dir().join(format!(
+                "ingrass-engine-tornmagic-{len}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut live =
+                PersistentEngine::create(&dir, &h0, &SetupConfig::default(), policy).unwrap();
+            live.apply_batch(&[insert(0, 5, 1.5)], &ucfg).unwrap();
+            live.apply_batch(&[insert(2, 14, 0.5)], &ucfg).unwrap();
+            let (wal_seq, state) = (live.wal_seq(), normalized(live.engine().export_state()));
+            drop(live);
+            torn_rotation(&dir, wal_seq + 1, len);
+
+            let (mut recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
+            assert_eq!(report.wal_seq, wal_seq, "{len}-byte torn header");
+            assert_eq!(report.replayed_batches, 2);
+            assert_eq!(normalized(recovered.engine().export_state()), state);
+            recovered.apply_batch(&[insert(3, 17, 1.0)], &ucfg).unwrap();
+            let state = normalized(recovered.engine().export_state());
+            drop(recovered);
+            let (reopened, report) = PersistentEngine::open(&dir, policy).unwrap();
+            assert_eq!(report.replayed_batches, 3);
+            assert_eq!(normalized(reopened.engine().export_state()), state);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

@@ -33,7 +33,10 @@
 //! * the same damage in any *earlier* segment cannot be a crash artifact
 //!   and fails loudly with [`StoreError::Corrupt`] instead — silently
 //!   dropping records from the middle of the log would replay a different
-//!   history than the one that ran.
+//!   history than the one that ran;
+//! * a last segment shorter than the magic, whose bytes are a prefix of
+//!   it, is a rotation torn before its header was whole: no record ever
+//!   reached it, so the header is rewritten and appends continue there.
 
 use crate::{fnv1a, StoreError, FNV_OFFSET};
 use std::fs::{self, File, OpenOptions};
@@ -94,6 +97,21 @@ pub struct WalDir {
 
 fn segment_path(dir: &Path, start_seq: u64) -> PathBuf {
     dir.join(format!("wal-{start_seq:020}.log"))
+}
+
+/// Creates (or empties) a segment file and writes its magic, synced. A
+/// crash inside this call leaves a last segment whose bytes are a prefix
+/// of the magic, which [`WalDir::open`] finishes.
+fn create_segment(path: &Path) -> io::Result<File> {
+    let mut file = OpenOptions::new()
+        .create(true)
+        .truncate(true)
+        .read(true)
+        .write(true)
+        .open(path)?;
+    file.write_all(&WAL_MAGIC)?;
+    file.sync_all()?;
+    Ok(file)
 }
 
 /// Lists segment files as `(start_seq, path)`, ascending.
@@ -190,7 +208,9 @@ impl WalDir {
                 file: path.clone(),
                 detail,
             };
-            if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+            let torn_header =
+                is_last && bytes.len() < WAL_MAGIC.len() && WAL_MAGIC.starts_with(&bytes);
+            if !torn_header && !bytes.starts_with(&WAL_MAGIC) {
                 return Err(corrupt("bad or missing segment magic".into()));
             }
             let mut pos = WAL_MAGIC.len();
@@ -234,7 +254,9 @@ impl WalDir {
                 expected += 1;
                 pos = frame.end;
             }
-            if is_last {
+            if torn_header {
+                active = Some((create_segment(path)?, path.clone(), WAL_MAGIC.len() as u64));
+            } else if is_last {
                 let valid_len = (bytes.len() as u64) - truncated_bytes;
                 let mut file = OpenOptions::new().read(true).write(true).open(path)?;
                 if truncated_bytes > 0 {
@@ -250,15 +272,7 @@ impl WalDir {
             None => {
                 // Empty log: start the first segment at seq 1.
                 let path = segment_path(dir, after_seq + 1);
-                let mut file = OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .read(true)
-                    .write(true)
-                    .open(&path)?;
-                file.write_all(&WAL_MAGIC)?;
-                file.sync_all()?;
-                (file, path, WAL_MAGIC.len() as u64)
+                (create_segment(&path)?, path, WAL_MAGIC.len() as u64)
             }
         };
         let wal = WalDir {
@@ -361,15 +375,7 @@ impl WalDir {
     fn rotate(&mut self) -> Result<(), StoreError> {
         self.active.sync_all()?;
         let path = segment_path(&self.dir, self.last_seq + 1);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        file.write_all(&WAL_MAGIC)?;
-        file.sync_all()?;
-        self.active = file;
+        self.active = create_segment(&path)?;
         self.active_path = path;
         self.active_len = WAL_MAGIC.len() as u64;
         Ok(())
@@ -407,67 +413,6 @@ pub(crate) fn write_frame(file: &mut File, frame: &[u8], sync: bool) -> io::Resu
         file.sync_data()?;
     }
     Ok(())
-}
-
-/// Reads a whole WAL without opening it for append — the read-only half
-/// of [`WalDir::open`], for tools and tests.
-pub fn read_wal(dir: &Path, after_seq: u64) -> Result<WalLoad, StoreError> {
-    // Delegate to open() but on a copy-free read path: open() truncates
-    // torn tails in place, which a read-only scan must not. So parse here
-    // with the same rules, minus the mutation.
-    let segs = list_segments(dir)?;
-    let mut records = Vec::new();
-    let mut last_seq = 0u64;
-    let mut truncated_bytes = 0u64;
-    for (i, (start_seq, path)) in segs.iter().enumerate() {
-        let is_last = i + 1 == segs.len();
-        let bytes = fs::read(path)?;
-        let corrupt = |detail: String| StoreError::Corrupt {
-            file: path.clone(),
-            detail,
-        };
-        if bytes.len() < WAL_MAGIC.len() || bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(corrupt("bad or missing segment magic".into()));
-        }
-        if last_seq != 0 && *start_seq != last_seq + 1 {
-            return Err(corrupt(format!(
-                "segment starts at seq {start_seq}, previous segment ended at {last_seq}"
-            )));
-        }
-        if i == 0 && *start_seq > after_seq + 1 {
-            return Err(corrupt(format!(
-                "oldest segment starts at seq {start_seq} but replay needs seq {}",
-                after_seq + 1
-            )));
-        }
-        let mut pos = WAL_MAGIC.len();
-        let mut expected = *start_seq;
-        while pos < bytes.len() {
-            let frame = parse_frame(&bytes, pos).filter(|f| f.seq == expected);
-            let Some(frame) = frame else {
-                if is_last {
-                    truncated_bytes = (bytes.len() - pos) as u64;
-                    break;
-                }
-                return Err(corrupt(format!(
-                    "corrupt frame at byte {pos} in a non-final segment"
-                )));
-            };
-            let record = decode_record(frame.kind, &frame.payload)
-                .map_err(|detail| corrupt(format!("record seq {expected}: {detail}")))?;
-            if frame.seq > after_seq {
-                records.push((frame.seq, record));
-            }
-            last_seq = frame.seq;
-            expected += 1;
-            pos = frame.end;
-        }
-    }
-    Ok(WalLoad {
-        records,
-        last_seq: last_seq.max(after_seq),
-        truncated_bytes,
-    })
 }
 
 #[cfg(test)]
@@ -638,6 +583,63 @@ pub(crate) mod tests {
         let (_, load) = WalDir::open(&dir, 0).unwrap();
         assert_eq!(load.records.len(), 3);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes the segment starting at `next_seq` with only `len` bytes of
+    /// its magic, as a rotation that crashed mid-header leaves it.
+    pub(crate) fn torn_rotation(dir: &Path, next_seq: u64, len: usize) {
+        fs::write(segment_path(dir, next_seq), &WAL_MAGIC[..len]).unwrap();
+    }
+
+    #[test]
+    fn torn_rotation_header_is_finished_and_appends_resume() {
+        for len in [0, 3] {
+            let dir = tmpdir(&format!("tornmagic-{len}"));
+            let (mut wal, _) = WalDir::open(&dir, 0).unwrap();
+            wal.append(&batch(0, 1), u64::MAX, true).unwrap();
+            wal.append(&batch(1, 2), u64::MAX, true).unwrap();
+            drop(wal);
+            torn_rotation(&dir, 3, len);
+            let (mut wal, load) = WalDir::open(&dir, 0).unwrap();
+            assert_eq!(load.records, vec![(1, batch(0, 1)), (2, batch(1, 2))]);
+            assert_eq!(load.last_seq, 2);
+            assert_eq!(wal.segment_count().unwrap(), 2);
+            assert_eq!(wal.append(&batch(2, 3), u64::MAX, true).unwrap(), 3);
+            drop(wal);
+            let (_, load) = WalDir::open(&dir, 0).unwrap();
+            let seqs: Vec<u64> = load.records.iter().map(|(s, _)| *s).collect();
+            assert_eq!(seqs, vec![1, 2, 3], "{len}-byte torn header");
+            assert_eq!(load.truncated_bytes, 0);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn short_or_foreign_segment_headers_stay_corrupt() {
+        // A short header before the last segment, a wrong prefix in the
+        // last one, and a torn last segment that does not continue the
+        // sequence are not what a torn rotation leaves.
+        let cases: [(&str, &[u8], u64, bool); 3] = [
+            ("nonfinal", &WAL_MAGIC[..3], 3, true),
+            ("foreign", b"INGX", 3, false),
+            ("gap", &WAL_MAGIC[..3], 4, false),
+        ];
+        for (tag, header, start, then_more) in cases {
+            let dir = tmpdir(&format!("badmagic-{tag}"));
+            let (mut wal, _) = WalDir::open(&dir, 0).unwrap();
+            wal.append(&batch(0, 1), u64::MAX, true).unwrap();
+            wal.append(&batch(1, 2), u64::MAX, true).unwrap();
+            drop(wal);
+            fs::write(segment_path(&dir, start), header).unwrap();
+            if then_more {
+                fs::write(segment_path(&dir, start + 1), WAL_MAGIC).unwrap();
+            }
+            match WalDir::open(&dir, 0) {
+                Err(StoreError::Corrupt { .. }) => {}
+                other => panic!("{tag}: expected Corrupt, got {other:?}"),
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! a *modeled* service time that is a pure function of its PCG iteration
 //! count. Because the iteration counts are bit-deterministic at any
 //! worker width, every latency percentile the run reports is too — the
-//! perf gate can pin `traffic_p99_s` exactly, which no wall-clock
-//! measurement survives. Wall time is still recorded, as information.
+//! overload suite pins them exactly, which no wall-clock measurement
+//! survives. Wall time is still recorded, as information.
 
 use crate::queue::{AdmissionQueue, TrafficConfig, TrafficStats};
 use ingrass::{SnapshotEngine, SparsifierSnapshot, UpdateConfig, UpdateOp};
@@ -62,8 +62,8 @@ impl From<ingrass_solve::SolveError> for TrafficError {
 ///
 /// `service = base_s + iterations · per_iteration_s`. PCG iteration
 /// counts are bit-deterministic (fixed seed, any worker width), so the
-/// modeled latency distribution is too — the property the perf gate's
-/// `traffic_p99_s` key relies on.
+/// modeled latency distribution is too — the property the overload
+/// suite's exact pins rely on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceModel {
     /// Fixed per-request overhead (virtual seconds).

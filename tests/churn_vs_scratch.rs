@@ -20,8 +20,8 @@ fn churn_incremental_matches_scratch_condition_number() {
         .lambda_max;
 
     // The paper-shaped mixed stream: ~24 % of the off-tree edge count over
-    // 10 batches, a quarter deleting, 15 % reweighting (the same sizing the
-    // perf harness benchmarks).
+    // 10 batches, a quarter deleting, 15 % reweighting (the sizing
+    // `ChurnConfig::paper_shaped` defines).
     let stream = ChurnStream::paper_default(&g0, 42);
     assert!(stream.deletes() > 0 && stream.reweights() > 0);
     let g_final = stream.apply_to(&g0).unwrap();

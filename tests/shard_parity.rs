@@ -9,7 +9,11 @@
 //!
 //! Runs at seeds 42, 7, and 1337 — the CI seed set — in-process, so a
 //! single `cargo test` covers all three.
+//!
+//! One more case pins load balance: on a shard-skewed churn stream the
+//! busiest shard's routed ops stay within twice the mean shard's.
 
+use ingrass_repro::gen::ShardSkew;
 use ingrass_repro::linalg::CsrMatrix;
 use ingrass_repro::prelude::*;
 
@@ -192,4 +196,57 @@ fn sharded_matches_mono_quality_at_seed_7() {
 #[test]
 fn sharded_matches_mono_quality_at_seed_1337() {
     run_parity(1337);
+}
+
+/// Routed-op imbalance at S = 4 on a shard-skewed stream (a fifth of the
+/// intra-shard inserts aimed at one hot shard, 15 % of inserts crossing
+/// shards): the busiest shard applies at most twice the mean shard's
+/// ops. Counted in ops, so the bar is seed-deterministic.
+#[test]
+fn skewed_stream_keeps_routed_op_imbalance_within_two() {
+    let seed = ingrass_repro::test_seed();
+    for case in [
+        TestCase::Fe4elt2,
+        TestCase::FeSphere,
+        TestCase::G2Circuit,
+        TestCase::DelaunayN18,
+    ] {
+        let g0 = case.build(0.01, seed);
+        let h0 = GrassSparsifier::default()
+            .by_offtree_density(&g0, 0.10)
+            .unwrap()
+            .graph;
+        let mut sharded = ShardedEngine::setup(
+            &h0,
+            &SetupConfig::default().with_seed(seed),
+            &ShardedConfig::default().with_shards(SHARDS),
+        )
+        .unwrap();
+        let skew = ShardSkew {
+            labels: sharded.routing().shard_of_slice().to_vec(),
+            hot_fraction: 0.2,
+            cross_fraction: 0.15,
+            hot_label: 0,
+        };
+        let churn = ChurnStream::generate_with_skew(
+            &g0,
+            &ChurnConfig::paper_shaped(&g0, seed ^ 0x5a4d),
+            &skew,
+        );
+        for batch in churn.batches() {
+            sharded
+                .apply_batch(&churn_to_update_ops(batch), &UpdateConfig::default())
+                .unwrap();
+        }
+        let stats = sharded.shard_stats();
+        assert!(stats.total_shard_ops > 0, "{}: no shard work", case.name());
+        assert!(
+            stats.imbalance_ratio <= 2.0,
+            "{}: shard work imbalance {:.3} exceeds 2.0 (max {} of {} ops, seed {seed})",
+            case.name(),
+            stats.imbalance_ratio,
+            stats.max_shard_ops,
+            stats.total_shard_ops,
+        );
+    }
 }

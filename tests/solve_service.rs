@@ -2,16 +2,15 @@
 //! cases: PCG on the original Laplacian, preconditioned by a published
 //! snapshot's factor, must converge in at most 1/3 the iterations of
 //! unpreconditioned CG, and a held snapshot must keep serving while its
-//! engine mutates. Mirrors the `solve/<case>` scenarios the perf harness
-//! records in `BENCH_2.json`.
+//! engine mutates.
 
 use ingrass_repro::linalg::CsrMatrix;
 use ingrass_repro::prelude::*;
 use ingrass_repro::solve::unpreconditioned_cg;
 use ingrass_repro::test_seed;
 
-/// The perf harness's case axis at its `small` fraction, with the
-/// solve-grade sparsifier density the `solve/<case>` scenarios use.
+/// The suite cases at 5 % of the paper's node counts, with a solve-grade
+/// sparsifier density.
 const SCALE: f64 = 0.05;
 const SOLVE_DENSITY: f64 = 0.30;
 
