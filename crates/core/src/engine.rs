@@ -3,7 +3,7 @@
 use crate::config::{ResistanceBackend, SetupConfig, UpdateConfig};
 use crate::connectivity::ClusterConnectivity;
 use crate::error::InGrassError;
-use crate::ledger::{UpdateLedger, UpdateOp};
+use crate::ledger::{validate_batch, UpdateLedger, UpdateOp};
 use crate::lrd::{LrdHierarchy, LrdLevel};
 use crate::report::{EdgeOutcome, PhaseTimer, SetupReport, UpdateReport};
 use crate::Result;
@@ -220,12 +220,13 @@ impl InGrassEngine {
     /// Applies one batch of update operations (insertions, deletions,
     /// reweights) — the uniform mutation path.
     ///
-    /// The batch is validated up front (no partial application on invalid
-    /// input). Runs of consecutive insertions are ranked by estimated
-    /// spectral distortion `w·R̂` (descending, unless disabled) exactly like
-    /// the paper's insert-only update phase; deletions and reweights act as
-    /// ordering barriers so that rip-up sequences (delete then re-insert)
-    /// keep their meaning. After the batch, the drift tracker is consulted
+    /// The batch is validated up front by [`crate::validate_batch`] (no
+    /// partial application on invalid input). Runs of consecutive
+    /// insertions are ranked by estimated spectral distortion `w·R̂`
+    /// (descending, unless disabled) exactly like the paper's insert-only
+    /// update phase; deletions and reweights act as ordering barriers so
+    /// that rip-up sequences (delete then re-insert) keep their meaning.
+    /// After the batch, the drift tracker is consulted
     /// and — if the configured [`crate::DriftPolicy`] was exceeded — a
     /// re-setup runs before this call returns (reported in
     /// [`UpdateReport::resetup`]).
@@ -246,36 +247,13 @@ impl InGrassEngine {
     ///   re-insert).
     ///
     /// # Errors
-    /// [`InGrassError::InvalidConfig`] if `target_condition < 2`;
-    /// [`InGrassError::Graph`] if an operation references an unknown node,
-    /// a self-loop, or carries a non-positive weight.
+    /// As for [`crate::validate_batch`]: [`InGrassError::InvalidConfig`]
+    /// if `target_condition < 2`; [`InGrassError::Graph`] if an operation
+    /// references an unknown node, is a self-loop, or carries a weight that
+    /// is not finite and positive.
     pub fn apply_batch(&mut self, ops: &[UpdateOp], cfg: &UpdateConfig) -> Result<UpdateReport> {
         let timer = PhaseTimer::start();
-        if cfg.target_condition < 2.0 {
-            return Err(InGrassError::InvalidConfig(format!(
-                "target condition must be ≥ 2, got {}",
-                cfg.target_condition
-            )));
-        }
-        let n = self.h.num_nodes();
-        for op in ops {
-            let (u, v) = op.endpoints();
-            if u >= n || v >= n {
-                return Err(InGrassError::Graph(format!(
-                    "edge ({u},{v}) out of bounds for {n} nodes"
-                )));
-            }
-            if u == v {
-                return Err(InGrassError::Graph(format!("self-loop at node {u}")));
-            }
-            if let Some(w) = op.weight() {
-                if w <= 0.0 || !w.is_finite() {
-                    return Err(InGrassError::Graph(format!(
-                        "edge ({u},{v}) has invalid weight {w}"
-                    )));
-                }
-            }
-        }
+        validate_batch(ops, cfg, self.h.num_nodes())?;
 
         let level = self.filtering_level_for(cfg);
 

@@ -8,6 +8,8 @@
 //! the configured [`crate::DriftPolicy`] — when the cached LRD embedding has
 //! gone stale enough that a re-setup pays for itself.
 
+use crate::config::UpdateConfig;
+use crate::error::InGrassError;
 use crate::lrd::LrdHierarchy;
 use ingrass_graph::NodeId;
 use std::fmt;
@@ -62,6 +64,47 @@ impl UpdateOp {
             UpdateOp::Delete { .. } => None,
         }
     }
+}
+
+/// Checks a batch for a sparsifier on `num_nodes` nodes before any of it
+/// is applied. Every writer runs this one check first —
+/// [`crate::InGrassEngine::apply_batch`], [`crate::ShardedEngine::apply_batch`],
+/// and the durable store before it logs a batch — so all of them refuse
+/// the same inputs with the same error, and nothing they refuse is ever
+/// applied in part or written to a log.
+///
+/// # Errors
+/// [`InGrassError::InvalidConfig`] if `target_condition` is NaN or
+/// below 2;
+/// [`InGrassError::Graph`] if an operation references a node
+/// `≥ num_nodes`, is a self-loop, or carries a weight that is not finite
+/// and positive.
+pub fn validate_batch(ops: &[UpdateOp], cfg: &UpdateConfig, num_nodes: usize) -> crate::Result<()> {
+    if cfg.target_condition.is_nan() || cfg.target_condition < 2.0 {
+        return Err(InGrassError::InvalidConfig(format!(
+            "target condition must be ≥ 2, got {}",
+            cfg.target_condition
+        )));
+    }
+    for op in ops {
+        let (u, v) = op.endpoints();
+        if u >= num_nodes || v >= num_nodes {
+            return Err(InGrassError::Graph(format!(
+                "edge ({u},{v}) out of bounds for {num_nodes} nodes"
+            )));
+        }
+        if u == v {
+            return Err(InGrassError::Graph(format!("self-loop at node {u}")));
+        }
+        if let Some(w) = op.weight() {
+            if w <= 0.0 || !w.is_finite() {
+                return Err(InGrassError::Graph(format!(
+                    "edge ({u},{v}) has invalid weight {w}"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Replays update operations onto a plain [`ingrass_graph::DynGraph`] —

@@ -86,7 +86,8 @@ pub use connectivity::ClusterConnectivity;
 pub use engine::InGrassEngine;
 pub use error::{InGrassError, IngrassError};
 pub use ledger::{
-    replay_ops, DriftTracker, ResetupReason, StalenessTracker, UpdateLedger, UpdateOp,
+    replay_ops, validate_batch, DriftTracker, ResetupReason, StalenessTracker, UpdateLedger,
+    UpdateOp,
 };
 pub use lrd::{LrdHierarchy, LrdLevel};
 pub use ordering::lrd_nested_dissection_order;

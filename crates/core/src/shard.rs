@@ -15,9 +15,11 @@
 //! 1. **Partition** — the batch is validated atomically and routed into
 //!    per-shard op lists plus a coordinator-owned boundary list.
 //! 2. **Parallel apply** — every shard with routed work runs its own
-//!    [`InGrassEngine::apply_batch`] on an `ingrass-par` worker (shard
-//!    RNG streams were isolated at setup via `derive_seed`), and all
-//!    workers join at the **epoch fence**.
+//!    [`InGrassEngine::apply_batch`], mapped over `ingrass-par` workers
+//!    with `par_map_mut_with` (shard RNG streams were isolated at setup
+//!    via `derive_seed`), and all workers join at the **epoch fence**.
+//!    At width 1, or when only one shard has work, the map runs on the
+//!    calling thread.
 //! 3. **Commit** — per-shard [`UpdateReport`]s are merged in ascending
 //!    shard-index order (a shard error propagates from the lowest index
 //!    *before* any coordinator state moves), boundary ops apply
@@ -53,7 +55,7 @@ pub use stitch::StitchedPrecond;
 use crate::config::{DriftPolicy, SetupConfig, UpdateConfig};
 use crate::engine::InGrassEngine;
 use crate::error::InGrassError;
-use crate::ledger::{ResetupReason, UpdateOp};
+use crate::ledger::{validate_batch, ResetupReason, UpdateOp};
 use crate::lrd::{LrdHierarchy, LrdLevel};
 use crate::report::{PhaseTimer, UpdateReport};
 use crate::snapshot::{
@@ -147,8 +149,9 @@ pub struct ShardedBatchReport {
     /// Whether this batch's drift crossed the policy on any shard (or the
     /// boundary) and triggered a global re-setup, and why.
     pub resetup: Option<ResetupReason>,
-    /// Workers the parallel apply phase fanned out over
-    /// (`min(threads, shards)`; 1 when no shard received work).
+    /// Workers the parallel apply phase fanned out over:
+    /// `min(threads, shards with work)`, and 1 when at most one shard
+    /// received work (that batch runs on the calling thread).
     pub fence_width: usize,
     /// Wall-clock span of the parallel apply phase: fan-out to epoch
     /// fence, i.e. the slowest shard's apply on a multi-core host. Zero
@@ -362,9 +365,10 @@ impl ShardedEngine {
 
     /// Applies one update batch through the epoch-fenced commit protocol
     /// (see the module docs): validates it atomically, partitions it into
-    /// per-shard op lists and a boundary list, runs every non-empty shard
-    /// batch concurrently on its own `ingrass-par` worker, joins at the
-    /// epoch fence, then commits — merging per-shard reports in ascending
+    /// per-shard op lists and a boundary list, maps the non-empty shard
+    /// batches over `ingrass-par` workers (on the calling thread at width
+    /// 1 or when one shard has work), joins at the epoch fence, then
+    /// commits — merging per-shard reports in ascending
     /// shard-index order, applying the cross-shard boundary ops
     /// single-threaded *after* the fence, and consulting the drift policy
     /// across the merged state — a trip re-runs the *global* setup (fresh
@@ -381,44 +385,25 @@ impl ShardedEngine {
     /// [`ShardedEngine::publish`] when readers should see the new state.
     ///
     /// # Errors
-    /// As for [`crate::InGrassEngine::apply_batch`]: invalid config or an
-    /// op referencing an unknown node, a self-loop, or a non-positive
-    /// weight. The batch is validated up front, so no shard engine
-    /// mutates on invalid input; a shard error surfacing at the fence
-    /// (unreachable while that validation matches the engine's own)
+    /// As for [`crate::validate_batch`]: invalid config or an op
+    /// referencing an unknown node, a self-loop, or a weight that is not
+    /// finite and positive. The batch is validated up front, so no shard
+    /// engine mutates on invalid input; a shard error surfacing at the
+    /// fence (unreachable while every shard engine runs the same check)
     /// propagates from the lowest shard index before the commit step
     /// touches any coordinator state.
+    ///
+    /// # Panics
+    /// Re-raises a panic from a shard's apply once every worker has
+    /// joined. The coordinator's state has not moved then, but shard
+    /// engines whose apply completed keep their new state.
     pub fn apply_batch(
         &mut self,
         ops: &[UpdateOp],
         cfg: &UpdateConfig,
     ) -> Result<ShardedBatchReport> {
         let timer = PhaseTimer::start();
-        if cfg.target_condition < 2.0 {
-            return Err(InGrassError::InvalidConfig(format!(
-                "target condition must be ≥ 2, got {}",
-                cfg.target_condition
-            )));
-        }
-        let n = self.routing.num_nodes();
-        for op in ops {
-            let (u, v) = op.endpoints();
-            if u >= n || v >= n {
-                return Err(InGrassError::Graph(format!(
-                    "edge ({u},{v}) out of bounds for {n} nodes"
-                )));
-            }
-            if u == v {
-                return Err(InGrassError::Graph(format!("self-loop at node {u}")));
-            }
-            if let Some(w) = op.weight() {
-                if w <= 0.0 || !w.is_finite() {
-                    return Err(InGrassError::Graph(format!(
-                        "edge ({u},{v}) has invalid weight {w}"
-                    )));
-                }
-            }
-        }
+        validate_batch(ops, cfg, self.routing.num_nodes())?;
 
         let s = self.routing.shards();
         let mut shard_batches: Vec<Vec<UpdateOp>> = vec![Vec::new(); s];
@@ -453,74 +438,53 @@ impl ShardedEngine {
             elapsed: Duration::ZERO,
         };
 
-        // ---- Parallel apply: per-shard batches fan out round-robin over
-        // `width` scoped worker threads; each walks its shards in
-        // ascending index order and every result lands by shard index at
-        // the fence, so any width yields identical state. Shard engines
-        // never touch the boundary graph or each other, so the workers
-        // share nothing.
+        // ---- Parallel apply: the shards that received work are mapped
+        // over `ingrass-par` workers, each engine lent to exactly one
+        // worker, and the results come back in ascending shard order
+        // whatever the scheduling, so any width yields identical state.
+        // Shard engines never touch the boundary graph or each other, so
+        // the workers share nothing. At width 1, or with one shard's
+        // work, the map runs on the calling thread.
         let threads = self.threads();
-        let width = threads.min(s).max(1);
-        report.fence_width = width;
-        let mut jobs: Vec<Vec<(usize, &mut InGrassEngine, Vec<UpdateOp>)>> =
-            (0..width).map(|_| Vec::new()).collect();
-        let mut shard_jobs = 0usize;
-        for (sh, (eng, batch)) in self.engines.iter_mut().zip(shard_batches).enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            jobs[sh % width].push((sh, eng, batch));
-            shard_jobs += 1;
-        }
+        let mut work: Vec<(usize, &mut InGrassEngine, Vec<UpdateOp>)> = self
+            .engines
+            .iter_mut()
+            .zip(shard_batches)
+            .enumerate()
+            .filter(|(_, (_, batch))| !batch.is_empty())
+            .map(|(sh, (eng, batch))| (sh, eng, batch))
+            .collect();
+        report.fence_width = threads.min(work.len()).max(1);
         let fence_timer = PhaseTimer::start();
-        let mut outs: Vec<Vec<(usize, Result<UpdateReport>, f64)>> =
-            (0..width).map(|_| Vec::new()).collect();
-        if shard_jobs > 0 {
-            std::thread::scope(|scope| {
-                for (job, out) in jobs.into_iter().zip(outs.iter_mut()) {
-                    scope.spawn(move || {
-                        for (sh, eng, batch) in job {
-                            let shard_timer = PhaseTimer::start();
-                            let res = eng.apply_batch(&batch, cfg);
-                            out.push((sh, res, shard_timer.total().as_secs_f64()));
-                        }
-                    });
-                }
-            });
-        }
+        let applied = ingrass_par::par_map_mut_with(threads, &mut work, |(sh, eng, batch)| {
+            let shard_timer = PhaseTimer::start();
+            eng.apply_batch(batch, cfg)
+                .map(|rep| (*sh, rep, shard_timer.total().as_secs_f64()))
+        });
+        let fence_wall_s = fence_timer.total().as_secs_f64();
 
-        // ---- Epoch fence: every worker has joined. Merge the per-shard
-        // outcomes deterministically by ascending shard index; an error
-        // (unreachable while the up-front validation above matches the
-        // engine's own) propagates from the lowest shard index before the
-        // commit step below touches any coordinator state — the boundary
-        // graph, the op counters, and the drift ledgers stay put.
-        if shard_jobs > 0 {
-            report.parallel_wall_s = fence_timer.total().as_secs_f64();
-        }
-        let mut merged: Vec<Option<(Result<UpdateReport>, f64)>> = (0..s).map(|_| None).collect();
-        for (sh, res, wall) in outs.into_iter().flatten() {
-            merged[sh] = Some((res, wall));
-        }
-        if let Some((Err(e), _)) = merged.iter().flatten().find(|(res, _)| res.is_err()) {
-            return Err(e.clone());
-        }
+        // ---- Epoch fence: every worker has joined, and a worker's panic
+        // has been re-raised. An error (unreachable while every shard
+        // engine runs the same `validate_batch` as above) propagates from
+        // the lowest shard index before the commit step below touches any
+        // coordinator state — the boundary graph, the op counters, and
+        // the drift ledgers stay put.
+        let applied = applied.into_iter().collect::<Result<Vec<_>>>()?;
 
         // ---- Commit: record the merged reports and walls, apply the
         // cross-shard boundary ops single-threaded (they touch an edge
         // set no shard engine carries, so applying them after the fence
         // leaves the final state identical to any interleaving), then
         // take the drift decision from the merged post-fence state.
-        for (sh, slot) in merged.into_iter().enumerate() {
-            let Some((res, wall)) = slot else { continue };
-            let rep = res.expect("fence propagated every shard error");
+        if !applied.is_empty() {
+            report.parallel_wall_s = fence_wall_s;
+            self.parallel_update.record(fence_wall_s);
+        }
+        for (sh, rep, wall) in applied {
             self.per_shard_update[sh].record(wall);
             self.per_shard_hist[sh].record(wall);
             self.per_shard_ops[sh] += rep.batch_size as u64;
             report.shard_reports[sh] = Some(rep);
-        }
-        if shard_jobs > 0 {
-            self.parallel_update.record(report.parallel_wall_s);
         }
         for op in &boundary_ops {
             self.apply_boundary_op(*op, &mut report);
@@ -1225,39 +1189,47 @@ mod tests {
         .unwrap();
         let routing = eng.routing().clone();
         let n = routing.num_nodes();
-        let mut intra = None;
+        // One intra-shard pair per shard, and one cross-shard pair.
+        let mut intra = [None, None];
         let mut cross = None;
-        'outer: for u in 0..n {
+        for u in 0..n {
             for v in (u + 1)..n {
-                let same = routing.shard_of(u) == routing.shard_of(v);
-                if same && intra.is_none() {
-                    intra = Some((u, v));
-                } else if !same && cross.is_none() {
-                    cross = Some((u, v));
-                }
-                if intra.is_some() && cross.is_some() {
-                    break 'outer;
+                let su = routing.shard_of(u);
+                if su == routing.shard_of(v) {
+                    intra[su].get_or_insert((u, v));
+                } else {
+                    cross.get_or_insert((u, v));
                 }
             }
         }
-        let (iu, iv) = intra.unwrap();
+        let insert = |(u, v): (usize, usize), weight| UpdateOp::Insert { u, v, weight };
+        let (intra0, intra1) = (intra[0].unwrap(), intra[1].unwrap());
         let (cu, cv) = cross.unwrap();
 
-        // A batch with shard work runs the parallel phase: the fence
-        // width clamps to the shard count and the span is recorded once.
+        // A batch that reaches one shard runs its apply on the calling
+        // thread: width 1, but the span is still recorded.
+        let report = eng
+            .apply_batch(&[insert(intra0, 0.5)], &UpdateConfig::default())
+            .unwrap();
+        assert_eq!(report.fence_width, 1, "one shard with work runs inline");
+        assert!(report.parallel_wall_s > 0.0);
+        assert_eq!(eng.shard_stats().parallel_update.count(), 1);
+
+        // A batch that reaches both shards fans out: the fence width
+        // clamps to the shards with work, and the span is recorded once.
         let report = eng
             .apply_batch(
-                &[UpdateOp::Insert {
-                    u: iu,
-                    v: iv,
-                    weight: 0.5,
-                }],
+                &[insert(intra0, 0.75), insert(intra1, 0.5)],
                 &UpdateConfig::default(),
             )
             .unwrap();
-        assert_eq!(report.fence_width, 2, "width = min(threads, shards)");
+        assert_eq!(
+            report.fence_width, 2,
+            "width = min(threads, shards with work)"
+        );
         assert!(report.parallel_wall_s > 0.0);
-        assert_eq!(eng.shard_stats().parallel_update.count(), 1);
+        assert!(report.shard_reports.iter().all(Option::is_some));
+        assert_eq!(eng.shard_stats().parallel_update.count(), 2);
         let span = eng.shard_stats().parallel_update.total_seconds();
         assert!(span >= report.parallel_wall_s);
 
@@ -1274,8 +1246,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(report.intra_ops, 0);
+        assert_eq!(report.fence_width, 1);
         assert_eq!(report.parallel_wall_s, 0.0);
-        assert_eq!(eng.shard_stats().parallel_update.count(), 1);
+        assert_eq!(eng.shard_stats().parallel_update.count(), 2);
         assert!(report.shard_reports.iter().all(Option::is_none));
     }
 

@@ -21,9 +21,6 @@
 //! * [`ChurnStream`] — seeded fully-dynamic batches mixing insertions,
 //!   deletions, and reweights (ECO rip-up, unfollow, coarsening workloads)
 //!   with a protected spanning tree so every prefix stays connected.
-//! * [`WorkloadTrace`] — seeded open-loop arrival schedules (Poisson and
-//!   burst processes, hot-tenant/hot-key skew) that mix reader solves
-//!   with writer churn for the traffic front end.
 //!
 //! Every generator takes an explicit seed and is fully deterministic.
 //!
@@ -47,7 +44,6 @@ mod mesh;
 mod social;
 mod stream;
 mod suite;
-mod workload;
 
 pub use delaunay::{delaunay, delaunay_points, DelaunayConfig, PointDistribution};
 pub use grid::{grid_2d, power_grid, PowerGridConfig, WeightModel};
@@ -55,4 +51,3 @@ pub use mesh::{airfoil_mesh, ocean_mesh, sphere_mesh, AirfoilConfig, OceanConfig
 pub use social::{barabasi_albert, rmat, BaConfig, RmatConfig};
 pub use stream::{ChurnConfig, ChurnOp, ChurnStream, InsertionStream, ShardSkew, StreamConfig};
 pub use suite::{paper_suite, TestCase};
-pub use workload::{ArrivalProcess, TrafficEvent, TrafficEventKind, WorkloadConfig, WorkloadTrace};

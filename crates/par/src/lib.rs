@@ -29,7 +29,6 @@
 #![deny(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Environment variable overriding the worker thread count.
 pub const THREADS_ENV: &str = "INGRASS_THREADS";
@@ -72,10 +71,10 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
 /// serial loop would produce it.
 ///
 /// `threads <= 1`, `n <= 1`, or a single available worker short-circuits to
-/// the plain serial loop (no pool, no channel). Otherwise
-/// `min(threads, n)` workers pull indices from an atomic cursor (dynamic
-/// load balancing — CG solves converge in wildly different iteration
-/// counts) and send `(index, value)` pairs back for in-order placement.
+/// the plain serial loop (no spawn). Otherwise `min(threads, n)` workers
+/// pull indices from an atomic cursor (dynamic load balancing — CG solves
+/// converge in wildly different iteration counts) and hand their
+/// `(index, value)` pairs back at the join for in-order placement.
 ///
 /// # Panics
 /// Re-panics if `f` panics on any index (after all workers have stopped).
@@ -90,32 +89,38 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, U)>();
     let mut out: Vec<Option<U>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
     std::thread::scope(|scope| {
-        for _ in 0..width {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+        let workers: Vec<_> = (0..width)
+            .map(|_| {
+                let (cursor, f) = (&cursor, &f);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return done;
+                        }
+                        done.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        // The caller sleeps until each worker is done instead of being
+        // woken once per item: those wake-ups compete with the workers
+        // for a core, which on a 2-CPU host cost a small map such as the
+        // shard fence about 20 µs per call. A worker's panic is re-raised
+        // here; the scope joins the other workers before it propagates.
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => {
+                    for (i, v) in done {
+                        out[i] = Some(v);
+                    }
                 }
-                // A closed channel means the drain side unwound; stop.
-                if tx.send((i, f(i))).is_err() {
-                    break;
-                }
-            });
-        }
-        // Drain on the caller thread *while* the workers produce: channel
-        // occupancy stays transient instead of buffering all n results
-        // (which would double peak memory for vector-valued maps), and the
-        // loop ends when the last worker drops its sender.
-        drop(tx);
-        for (i, v) in rx {
-            out[i] = Some(v);
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
     });
     out.into_iter()

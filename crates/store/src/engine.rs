@@ -16,8 +16,8 @@ use crate::snapshot::{load_latest, prune_snapshots, write_snapshot};
 use crate::wal::{write_frame, WalDir, WalRecord};
 use crate::StoreError;
 use ingrass::{
-    BatchPublishReport, PublishReport, SetupConfig, SnapshotEngine, SnapshotReader, UpdateConfig,
-    UpdateOp,
+    validate_batch, BatchPublishReport, PublishReport, SetupConfig, SnapshotEngine, SnapshotReader,
+    UpdateConfig, UpdateOp,
 };
 use ingrass_graph::Graph;
 use std::fs::File;
@@ -298,9 +298,15 @@ impl PersistentEngine {
     /// without them is identical.
     ///
     /// # Errors
-    /// I/O errors leave the engine untouched (the write is ahead of the
-    /// apply); engine errors surface after the record is durable, which
-    /// is safe because replay fails the same way deterministically.
+    /// A batch the engine would refuse ([`ingrass::validate_batch`]: an
+    /// out-of-range id, a self-loop, a weight that is not finite and
+    /// positive, `target_condition < 2`) returns [`StoreError::Engine`]
+    /// before anything is logged, so it never reaches replay. An I/O
+    /// error while logging leaves the engine untouched (the write is
+    /// ahead of the apply). A failed checkpoint is different: the batch
+    /// is already applied and logged when the due snapshot fails, yet
+    /// the call returns `Err`, so a caller that retries the batch applies
+    /// it twice.
     pub fn apply_batch(
         &mut self,
         ops: &[UpdateOp],
@@ -320,6 +326,7 @@ impl PersistentEngine {
     where
         W: FnOnce(&mut File, &[u8], bool) -> std::io::Result<()>,
     {
+        validate_batch(ops, cfg, self.engine.engine().sparsifier().num_nodes())?;
         if ops.is_empty() {
             return Ok(self.engine.apply_batch(ops, cfg)?);
         }
@@ -480,6 +487,37 @@ mod tests {
             assert_eq!(normalized(recovered.engine().export_state()), state);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_rejected_batch_is_not_logged_and_the_store_reopens() {
+        let n = 36;
+        let edges: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect();
+        let h0 = Graph::from_edges(n, &edges).unwrap();
+        let ucfg = UpdateConfig::default();
+        let policy = StorePolicy::default().with_snapshot_every(0);
+        let dir =
+            std::env::temp_dir().join(format!("ingrass-engine-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut live =
+            PersistentEngine::create(&dir, &h0, &SetupConfig::default(), policy).unwrap();
+        live.apply_batch(&[insert(0, 5, 1.5)], &ucfg).unwrap();
+        let wal_seq = live.wal_seq();
+        let rejected = live.apply_batch(&[insert(2, 41, 1.0)], &ucfg);
+        assert!(matches!(
+            rejected,
+            Err(StoreError::Engine(ingrass::InGrassError::Graph(_)))
+        ));
+        assert_eq!(live.wal_seq(), wal_seq, "a refused batch is not logged");
+        live.apply_batch(&[insert(3, 17, 1.0)], &ucfg).unwrap();
+        let (wal_seq, state) = (live.wal_seq(), normalized(live.engine().export_state()));
+        drop(live);
+
+        let (recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
+        assert_eq!(report.wal_seq, wal_seq);
+        assert_eq!(report.replayed_batches, 2);
+        assert_eq!(normalized(recovered.engine().export_state()), state);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod wal;
 
 pub use engine::{PersistentEngine, RecoveryReport, StorePolicy};
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// FNV-1a offset basis — the checksum seed used across WAL frames and
 /// snapshot payloads (matching the in-memory snapshot checksum).
@@ -41,6 +41,12 @@ pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Fsyncs a directory, so that entries created or renamed in it survive a
+/// crash.
+pub(crate) fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// Errors from the persistence layer.

@@ -28,7 +28,7 @@
 //! garbage).
 
 use crate::codec::{decode_serving, encode_serving};
-use crate::{fnv1a, StoreError, FNV_OFFSET};
+use crate::{fnv1a, sync_dir, StoreError, FNV_OFFSET};
 use ingrass::state::ServingState;
 use std::fs::{self, OpenOptions};
 use std::io::Write;
@@ -74,7 +74,8 @@ pub fn migrate_payload(schema: u32, payload: Vec<u8>) -> Result<Vec<u8>, StoreEr
 /// Writes `state` as the snapshot for its own publish sequence,
 /// atomically (tmp + rename), recording `wal_seq` as the WAL position it
 /// reflects. With `sync`, both the file and the directory entry are
-/// fsynced before this returns.
+/// fsynced before this returns; failing to open or fsync either is a
+/// [`StoreError::Io`].
 ///
 /// Returns the final path.
 pub fn write_snapshot(
@@ -112,9 +113,7 @@ pub fn write_snapshot(
     fs::rename(&tmp, &path)?;
     if sync {
         // Persist the rename itself.
-        if let Ok(d) = fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
+        sync_dir(dir)?;
     }
     Ok(path)
 }

@@ -38,7 +38,7 @@
 //!   it, is a rotation torn before its header was whole: no record ever
 //!   reached it, so the header is rewritten and appends continue there.
 
-use crate::{fnv1a, StoreError, FNV_OFFSET};
+use crate::{fnv1a, sync_dir, StoreError, FNV_OFFSET};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -99,10 +99,12 @@ fn segment_path(dir: &Path, start_seq: u64) -> PathBuf {
     dir.join(format!("wal-{start_seq:020}.log"))
 }
 
-/// Creates (or empties) a segment file and writes its magic, synced. A
+/// Creates (or empties) the segment file `path` in `dir` and writes its
+/// magic, synced together with `dir`'s entry for it, so records later
+/// acknowledged into the segment cannot lose their file in a crash. A
 /// crash inside this call leaves a last segment whose bytes are a prefix
 /// of the magic, which [`WalDir::open`] finishes.
-fn create_segment(path: &Path) -> io::Result<File> {
+fn create_segment(dir: &Path, path: &Path) -> io::Result<File> {
     let mut file = OpenOptions::new()
         .create(true)
         .truncate(true)
@@ -111,6 +113,7 @@ fn create_segment(path: &Path) -> io::Result<File> {
         .open(path)?;
     file.write_all(&WAL_MAGIC)?;
     file.sync_all()?;
+    sync_dir(dir)?;
     Ok(file)
 }
 
@@ -255,7 +258,11 @@ impl WalDir {
                 pos = frame.end;
             }
             if torn_header {
-                active = Some((create_segment(path)?, path.clone(), WAL_MAGIC.len() as u64));
+                active = Some((
+                    create_segment(dir, path)?,
+                    path.clone(),
+                    WAL_MAGIC.len() as u64,
+                ));
             } else if is_last {
                 let valid_len = (bytes.len() as u64) - truncated_bytes;
                 let mut file = OpenOptions::new().read(true).write(true).open(path)?;
@@ -272,7 +279,7 @@ impl WalDir {
             None => {
                 // Empty log: start the first segment at seq 1.
                 let path = segment_path(dir, after_seq + 1);
-                (create_segment(&path)?, path, WAL_MAGIC.len() as u64)
+                (create_segment(dir, &path)?, path, WAL_MAGIC.len() as u64)
             }
         };
         let wal = WalDir {
@@ -375,7 +382,7 @@ impl WalDir {
     fn rotate(&mut self) -> Result<(), StoreError> {
         self.active.sync_all()?;
         let path = segment_path(&self.dir, self.last_seq + 1);
-        self.active = create_segment(&path)?;
+        self.active = create_segment(&self.dir, &path)?;
         self.active_path = path;
         self.active_len = WAL_MAGIC.len() as u64;
         Ok(())

@@ -18,7 +18,6 @@
 //! | [`par`] | `ingrass-par` | deterministic parallel primitives (`par_map`, `split_even`, `INGRASS_THREADS`) |
 //! | [`solve`] | `ingrass-solve` | sparsifier-preconditioned Laplacian solve services (multi-RHS PCG against published snapshots, concurrent snapshot serving) |
 //! | [`store`] | `ingrass-store` | durable WAL + snapshot persistence, crash recovery via [`PersistentEngine`](store::PersistentEngine) |
-//! | [`traffic`] | `ingrass-traffic` | serving front end: bounded admission, weighted-fair dequeue, deadline shedding, p99 SLO accounting |
 //!
 //! The [`prelude`] pulls in the names used by virtually every program, the
 //! [`config`] module gathers every tuning knob in one place, and every
@@ -60,7 +59,6 @@ pub use ingrass_par as par;
 pub use ingrass_resistance as resistance;
 pub use ingrass_solve as solve;
 pub use ingrass_store as store;
-pub use ingrass_traffic as traffic;
 
 /// Every tuning knob in the workspace, gathered in one module.
 ///
@@ -75,7 +73,6 @@ pub mod config {
     };
     pub use ingrass_solve::{PrecondStrategy, SolveConfig};
     pub use ingrass_store::StorePolicy;
-    pub use ingrass_traffic::{OpenLoopConfig, ServiceModel, TrafficConfig};
 }
 
 /// The names almost every downstream program needs.
@@ -89,10 +86,9 @@ pub mod prelude {
     pub use ingrass_baselines::{GrassConfig, GrassSparsifier, RandomSparsifier, TreeKind};
     pub use ingrass_gen::{
         airfoil_mesh, barabasi_albert, delaunay, grid_2d, ocean_mesh, paper_suite, power_grid,
-        rmat, sphere_mesh, AirfoilConfig, ArrivalProcess, BaConfig, ChurnConfig, ChurnOp,
-        ChurnStream, DelaunayConfig, InsertionStream, OceanConfig, PowerGridConfig, RmatConfig,
-        SphereConfig, StreamConfig, TestCase, TrafficEvent, TrafficEventKind, WeightModel,
-        WorkloadConfig, WorkloadTrace,
+        rmat, sphere_mesh, AirfoilConfig, BaConfig, ChurnConfig, ChurnOp, ChurnStream,
+        DelaunayConfig, InsertionStream, OceanConfig, PowerGridConfig, RmatConfig, SphereConfig,
+        StreamConfig, TestCase, WeightModel,
     };
     pub use ingrass_graph::{DynGraph, Edge, EdgeId, Graph, GraphBuilder, NodeId};
     pub use ingrass_metrics::{
@@ -105,10 +101,6 @@ pub mod prelude {
         ConcurrentSolveService, PrecondStrategy, SolveConfig, SolveReport, SolveService,
     };
     pub use ingrass_store::{PersistentEngine, RecoveryReport, StoreError, StorePolicy};
-    pub use ingrass_traffic::{
-        run_open_loop, AdmissionQueue, OpenLoopConfig, Rejected, ServiceModel, TrafficConfig,
-        TrafficReport, TrafficStats,
-    };
 }
 
 /// The master seed the integration test suites derive their randomness

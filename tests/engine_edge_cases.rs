@@ -1,7 +1,8 @@
 //! Engine edge cases around the operation log: same-batch insert+delete,
 //! reweight-then-delete, duplicate inserts of carried edges, deletes of
 //! never-inserted edges — asserting the ledger counters and sparsifier
-//! weights stay consistent through each.
+//! weights stay consistent through each — and one table of bad inputs
+//! that every writer must refuse the same way, without moving.
 
 use ingrass_repro::graph::is_connected;
 use ingrass_repro::prelude::*;
@@ -214,4 +215,90 @@ fn ledger_counters_close_over_a_mixed_gauntlet() {
     // Version hook: one non-empty batch = one version bump, same epoch.
     assert_eq!(engine.version(), 1);
     assert_eq!(engine.epoch(), 0);
+}
+
+/// One table of bad inputs, driven through the three writers: the
+/// in-memory engine, the sharded engine (S = 2) and the durable store.
+/// Each writer refuses each entry with the same error (the store wraps it
+/// in `StoreError::Engine`) and moves nothing: no version, no applied-op
+/// count, no WAL record. Every bad op follows a good one, so a writer that
+/// applied part of a batch would show it.
+#[test]
+fn every_writer_refuses_bad_input_the_same_way_and_stays_put() {
+    let seed = test_seed() ^ 5;
+    let (h0, mut mono) = fixture(8, seed);
+    let setup = SetupConfig::default()
+        .with_seed(seed)
+        .with_drift(DriftPolicy::never());
+    let mut sharded = ShardedEngine::setup(&h0, &setup, &ShardedConfig::default().with_shards(2))
+        .expect("sharded setup");
+    let dir = std::env::temp_dir().join(format!("ingrass-bad-input-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store =
+        PersistentEngine::create(&dir, &h0, &setup, StorePolicy::default()).expect("store");
+
+    let n = h0.num_nodes();
+    let insert = |u, v, weight| UpdateOp::Insert { u, v, weight };
+    let reweight = |u, v, weight| UpdateOp::Reweight { u, v, weight };
+    let good = insert(0, n - 1, 1.0);
+    let ok = UpdateConfig::default();
+    let loose = UpdateConfig::default().with_target_condition(1.9);
+    let nan_target = UpdateConfig::default().with_target_condition(f64::NAN);
+    let table = [
+        ("NaN weight", vec![good, insert(0, 1, f64::NAN)], &ok),
+        ("+inf weight", vec![good, insert(0, 1, f64::INFINITY)], &ok),
+        (
+            "-inf weight",
+            vec![good, reweight(0, 1, f64::NEG_INFINITY)],
+            &ok,
+        ),
+        ("zero weight", vec![good, insert(0, 1, 0.0)], &ok),
+        ("negative weight", vec![good, reweight(0, 1, -1.0)], &ok),
+        (
+            "out-of-range id",
+            vec![good, UpdateOp::Delete { u: 0, v: n }],
+            &ok,
+        ),
+        ("self-loop", vec![good, insert(3, 3, 1.0)], &ok),
+        ("target_condition 1.9", vec![good], &loose),
+        ("target_condition NaN", vec![good], &nan_target),
+    ];
+    for (case, ops, cfg) in table {
+        let config_error = cfg.target_condition.is_nan() || cfg.target_condition < 2.0;
+        let (version, applied) = (mono.version(), mono.updates_applied());
+        let err = mono.apply_batch(&ops, cfg).expect_err(case);
+        assert_eq!(
+            matches!(err, InGrassError::InvalidConfig(_)),
+            config_error,
+            "{case}: {err}"
+        );
+        assert!(
+            config_error || matches!(err, InGrassError::Graph(_)),
+            "{case}"
+        );
+        assert_eq!((mono.version(), mono.updates_applied()), (version, applied));
+
+        let (version, applied) = (sharded.version(), sharded.updates_applied());
+        let sharded_err = sharded.apply_batch(&ops, cfg).expect_err(case);
+        assert_eq!(sharded_err, err, "{case}: sharded engine");
+        assert_eq!(
+            (sharded.version(), sharded.updates_applied()),
+            (version, applied)
+        );
+
+        let live = store.engine().engine();
+        let (version, applied, wal_seq) = (live.version(), live.updates_applied(), store.wal_seq());
+        match store.apply_batch(&ops, cfg) {
+            Err(StoreError::Engine(store_err)) => assert_eq!(store_err, err, "{case}: store"),
+            other => panic!("{case}: store returned {other:?}"),
+        }
+        let live = store.engine().engine();
+        assert_eq!(
+            (live.version(), live.updates_applied(), store.wal_seq()),
+            (version, applied, wal_seq),
+            "{case}: store"
+        );
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
