@@ -15,7 +15,7 @@
 //! level, and deferring them when degree is indifferent measurably cuts
 //! fill. So the hierarchy is applied as a soft tie-break inside minimum
 //! degree, and the cheaper of {plain, tie-broken} elimination is kept —
-//! each quotient-graph run reports its exact `nnz(L)` as a byproduct, so
+//! each elimination-graph run reports its exact `nnz(L)` as a byproduct, so
 //! the choice costs no extra factorisation.
 
 use crate::lrd::LrdHierarchy;
@@ -29,7 +29,7 @@ use ingrass_linalg::{min_degree_order_with_hints, CsrMatrix};
 /// (the highest level whose separator it belongs to; vertices interior to
 /// a leaf cluster get level 1). The separator level is handed to
 /// [`ingrass_linalg::min_degree_order_with_hints`] as a soft tie-break:
-/// among pivots of equal current quotient-graph degree, vertices deep
+/// among pivots of equal current elimination-graph degree, vertices deep
 /// inside fine clusters are eliminated before endpoints of coarse
 /// cross-cluster chords, postponing the dense blocks those chords induce.
 /// Two candidate orders are raced — plain minimum degree and the
@@ -97,8 +97,8 @@ pub fn lrd_nested_dissection_order(
     }
     let pattern = CsrMatrix::from_triplets(m, m, &trip);
 
-    let (plain, plain_fill) = min_degree_order_with_hints(&pattern, None, None);
-    let (guided, guided_fill) = min_degree_order_with_hints(&pattern, None, Some(&tiebreak));
+    let (plain, plain_fill) = min_degree_order_with_hints(&pattern, None);
+    let (guided, guided_fill) = min_degree_order_with_hints(&pattern, Some(&tiebreak));
     if guided_fill <= plain_fill {
         guided
     } else {

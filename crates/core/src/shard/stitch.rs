@@ -81,89 +81,14 @@ impl StitchedPrecond {
         threads: usize,
     ) -> Result<StitchedPrecond> {
         let n = graph.num_nodes();
-        assert_eq!(shard_of.len(), n, "shard assignment covers every node");
-        let ground = 0usize;
-
-        // Classify nodes: endpoints of cross-shard edges are boundary
-        // (except ground, which is simply removed), everything else is
-        // interior to its shard.
-        let mut class = vec![CLASS_INTERIOR; n];
-        if n > 0 {
-            class[ground] = CLASS_GROUND;
-        }
-        for e in graph.edges() {
-            let (u, v) = (e.u.index(), e.v.index());
-            if shard_of[u] != shard_of[v] {
-                if u != ground {
-                    class[u] = CLASS_BOUNDARY;
-                }
-                if v != ground {
-                    class[v] = CLASS_BOUNDARY;
-                }
-            }
-        }
-        let boundary: Vec<u32> = (0..n)
-            .filter(|&u| class[u] == CLASS_BOUNDARY)
-            .map(|u| u as u32)
-            .collect();
+        let Blocks {
+            boundary,
+            interiors,
+            trips,
+            coupling,
+            lbb,
+        } = assemble(graph, shard_of, shards);
         let nb = boundary.len();
-        let mut slot = vec![0u32; n];
-        for (i, &b) in boundary.iter().enumerate() {
-            slot[b as usize] = i as u32;
-        }
-        let mut interiors: Vec<Vec<u32>> = vec![Vec::new(); shards];
-        for u in 0..n {
-            if class[u] != CLASS_INTERIOR {
-                continue;
-            }
-            let sh = shard_of[u] as usize;
-            slot[u] = interiors[sh].len() as u32;
-            interiors[sh].push(u as u32);
-        }
-
-        // One pass over the edges fills per-shard interior triplets, the
-        // couplings, and the boundary block's off-diagonal; degrees
-        // accumulate for every node so each block's diagonal is the full
-        // grounded-Laplacian diagonal.
-        let mut degree = vec![0.0f64; n];
-        let mut trips: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); shards];
-        let mut coupling: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shards];
-        let mut lbb = DenseMatrix::zeros(nb, nb);
-        for e in graph.edges() {
-            let (u, v, w) = (e.u.index(), e.v.index(), e.weight);
-            degree[u] += w;
-            degree[v] += w;
-            match (class[u], class[v]) {
-                (CLASS_INTERIOR, CLASS_INTERIOR) => {
-                    let sh = shard_of[u] as usize;
-                    debug_assert_eq!(sh, shard_of[v] as usize);
-                    let (i, j) = (slot[u] as usize, slot[v] as usize);
-                    trips[sh].push((i, j, -w));
-                    trips[sh].push((j, i, -w));
-                }
-                (CLASS_INTERIOR, CLASS_BOUNDARY) => {
-                    coupling[shard_of[u] as usize].push((slot[u], slot[v], w));
-                }
-                (CLASS_BOUNDARY, CLASS_INTERIOR) => {
-                    coupling[shard_of[v] as usize].push((slot[v], slot[u], w));
-                }
-                (CLASS_BOUNDARY, CLASS_BOUNDARY) => {
-                    let (i, j) = (slot[u] as usize, slot[v] as usize);
-                    lbb.add(i, j, -w);
-                    lbb.add(j, i, -w);
-                }
-                // Edges at the ground node only contribute degree.
-                _ => {}
-            }
-        }
-        for (sh, interior) in interiors.iter().enumerate() {
-            for (i, &u) in interior.iter().enumerate() {
-                trips[sh].push((i, i, degree[u as usize]));
-            }
-        }
-        for (i, &b) in boundary.iter().enumerate() {
-            lbb.add(i, i, degree[b as usize]);
-        }
 
         // Per-shard interior factors, in parallel (placed by index).
         let chols: Vec<Result<Option<SparseCholesky>>> =
@@ -184,54 +109,7 @@ impl StitchedPrecond {
             factors.push(c?);
         }
 
-        // Boundary Schur complement S = L_BB − Σ_s E_sᵀ A_s⁻¹ E_s. Each
-        // shard's contribution needs one interior solve per boundary
-        // column it couples to (fanned out over threads); accumulation
-        // stays serial in a fixed order.
-        let mut schur_mat = lbb;
-        if nb > 0 {
-            for sh in 0..shards {
-                let Some(chol) = &factors[sh] else { continue };
-                if coupling[sh].is_empty() {
-                    continue;
-                }
-                let m = interiors[sh].len();
-                let mut cols: Vec<u32> = coupling[sh].iter().map(|&(_, b, _)| b).collect();
-                cols.sort_unstable();
-                cols.dedup();
-                let entries = &coupling[sh];
-                let ys: Vec<Vec<f64>> = ingrass_par::par_map_with(threads.max(1), &cols, |&b| {
-                    // Column b of E_s: entries −w at coupled rows.
-                    let mut rhs = vec![0.0f64; m];
-                    for &(i, bp, w) in entries {
-                        if bp == b {
-                            rhs[i as usize] -= w;
-                        }
-                    }
-                    let mut y = vec![0.0f64; m];
-                    chol.solve_into(&rhs, &mut y);
-                    y
-                });
-                for (ci, &b) in cols.iter().enumerate() {
-                    let y = &ys[ci];
-                    for &(i, bp, w) in entries {
-                        // −(E_sᵀ y)[bp] with E[i, bp] = −w ⇒ +w·y[i].
-                        schur_mat.add(bp as usize, b as usize, w * y[i as usize]);
-                    }
-                }
-            }
-        }
-        let schur = if nb > 0 {
-            Some(schur_mat.cholesky().map_err(|e| {
-                InGrassError::BadSparsifier(format!(
-                    "boundary Schur complement ({nb} nodes) is not SPD: {e}"
-                ))
-            })?)
-        } else {
-            None
-        };
-
-        let (pivots, pivot_of) = interiors
+        let (pivots, pivot_of): (Vec<Vec<u32>>, Vec<Vec<u32>>) = interiors
             .iter()
             .zip(&factors)
             .map(|(interior, chol)| {
@@ -244,6 +122,17 @@ impl StitchedPrecond {
                 (pivots, pivot_of)
             })
             .unzip();
+
+        let schur = if nb > 0 {
+            let s = schur_complement(lbb, nb, &factors, &pivot_of, &coupling, threads.max(1));
+            Some(s.cholesky().map_err(|e| {
+                InGrassError::BadSparsifier(format!(
+                    "boundary Schur complement ({nb} nodes) is not SPD: {e}"
+                ))
+            })?)
+        } else {
+            None
+        };
 
         Ok(StitchedPrecond {
             n,
@@ -312,6 +201,204 @@ impl StitchedPrecond {
     fn interior_solve(&self, sh: usize, rhs: &[f64], out: &mut [f64]) {
         if let Some(chol) = &self.chols[sh] {
             chol.solve_into(rhs, out);
+        }
+    }
+}
+
+/// The grounded sparsifier Laplacian cut along a shard partition.
+struct Blocks {
+    /// Global boundary nodes, ascending.
+    boundary: Vec<u32>,
+    /// Global ids of each shard's interior nodes, ascending.
+    interiors: Vec<Vec<u32>>,
+    /// Per shard: triplets of the interior block `A_s` over interior slots.
+    trips: Vec<Vec<(usize, usize, f64)>>,
+    /// Per shard: coupling entries `(interior slot, boundary slot, w)`.
+    coupling: Vec<Vec<(u32, u32, f64)>>,
+    /// The boundary block `L_BB`, row-major. Every off-diagonal addition
+    /// lands on `(i, j)` and `(j, i)` alike, so it is exactly symmetric.
+    lbb: Vec<f64>,
+}
+
+/// Classifies nodes and assembles every block of the partitioned
+/// Laplacian in one pass over the edges.
+fn assemble(graph: &Graph, shard_of: &[u32], shards: usize) -> Blocks {
+    let n = graph.num_nodes();
+    assert_eq!(shard_of.len(), n, "shard assignment covers every node");
+    let ground = 0usize;
+
+    // Classify nodes: endpoints of cross-shard edges are boundary
+    // (except ground, which is simply removed), everything else is
+    // interior to its shard.
+    let mut class = vec![CLASS_INTERIOR; n];
+    if n > 0 {
+        class[ground] = CLASS_GROUND;
+    }
+    for e in graph.edges() {
+        let (u, v) = (e.u.index(), e.v.index());
+        if shard_of[u] != shard_of[v] {
+            if u != ground {
+                class[u] = CLASS_BOUNDARY;
+            }
+            if v != ground {
+                class[v] = CLASS_BOUNDARY;
+            }
+        }
+    }
+    let boundary: Vec<u32> = (0..n)
+        .filter(|&u| class[u] == CLASS_BOUNDARY)
+        .map(|u| u as u32)
+        .collect();
+    let nb = boundary.len();
+    let mut slot = vec![0u32; n];
+    for (i, &b) in boundary.iter().enumerate() {
+        slot[b as usize] = i as u32;
+    }
+    let mut interiors: Vec<Vec<u32>> = vec![Vec::new(); shards];
+    for u in 0..n {
+        if class[u] != CLASS_INTERIOR {
+            continue;
+        }
+        let sh = shard_of[u] as usize;
+        slot[u] = interiors[sh].len() as u32;
+        interiors[sh].push(u as u32);
+    }
+
+    // One pass over the edges fills per-shard interior triplets, the
+    // couplings, and the boundary block's off-diagonal; degrees
+    // accumulate for every node so each block's diagonal is the full
+    // grounded-Laplacian diagonal.
+    let mut degree = vec![0.0f64; n];
+    let mut trips: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); shards];
+    let mut coupling: Vec<Vec<(u32, u32, f64)>> = vec![Vec::new(); shards];
+    let mut lbb = vec![0.0f64; nb * nb];
+    for e in graph.edges() {
+        let (u, v, w) = (e.u.index(), e.v.index(), e.weight);
+        degree[u] += w;
+        degree[v] += w;
+        match (class[u], class[v]) {
+            (CLASS_INTERIOR, CLASS_INTERIOR) => {
+                let sh = shard_of[u] as usize;
+                debug_assert_eq!(sh, shard_of[v] as usize);
+                let (i, j) = (slot[u] as usize, slot[v] as usize);
+                trips[sh].push((i, j, -w));
+                trips[sh].push((j, i, -w));
+            }
+            (CLASS_INTERIOR, CLASS_BOUNDARY) => {
+                coupling[shard_of[u] as usize].push((slot[u], slot[v], w));
+            }
+            (CLASS_BOUNDARY, CLASS_INTERIOR) => {
+                coupling[shard_of[v] as usize].push((slot[v], slot[u], w));
+            }
+            (CLASS_BOUNDARY, CLASS_BOUNDARY) => {
+                let (i, j) = (slot[u] as usize, slot[v] as usize);
+                lbb[i * nb + j] += -w;
+                lbb[j * nb + i] += -w;
+            }
+            // Edges at the ground node only contribute degree.
+            _ => {}
+        }
+    }
+    for (sh, interior) in interiors.iter().enumerate() {
+        for (i, &u) in interior.iter().enumerate() {
+            trips[sh].push((i, i, degree[u as usize]));
+        }
+    }
+    for (i, &b) in boundary.iter().enumerate() {
+        lbb[i * nb + i] += degree[b as usize];
+    }
+    Blocks {
+        boundary,
+        interiors,
+        trips,
+        coupling,
+        lbb,
+    }
+}
+
+/// Boundary columns a Schur worker solves at once: bounds each worker's
+/// transient block to this many interior-sized columns.
+const SCHUR_TILE: usize = 16;
+
+/// The boundary Schur complement `S = L_BB − Σ_s E_sᵀ A_s⁻¹ E_s`, with one
+/// interior solve per boundary column a shard couples to.
+///
+/// `S` is accumulated as its transpose `st` — row `b` of `st` is column
+/// `b` of `S`, and it starts as `L_BB`, which is its own transpose — so the
+/// workers of one shard, each given a contiguous run of that shard's
+/// coupled columns, own disjoint runs of rows. Every entry still receives
+/// its additions in the serial order (shards ascending, coupling entries in
+/// stored order), so `S` is bit-identical at any width and to one
+/// `solve_into` per column.
+fn schur_complement(
+    mut st: Vec<f64>,
+    nb: usize,
+    factors: &[Option<SparseCholesky>],
+    pivot_of: &[Vec<u32>],
+    coupling: &[Vec<(u32, u32, f64)>],
+    threads: usize,
+) -> DenseMatrix {
+    for (sh, chol) in factors.iter().enumerate() {
+        let Some(chol) = chol else { continue };
+        let mut cols: Vec<u32> = coupling[sh].iter().map(|&(_, b, _)| b).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        // Cut `st` into the row runs [cols[first], cols[last]] of each
+        // worker's columns; rows between runs belong to no worker.
+        let mut parts: Vec<(&[u32], &mut [f64])> = Vec::new();
+        let (mut rest, mut at) = (&mut st[..], 0usize);
+        for range in ingrass_par::split_even(cols.len(), threads) {
+            let mine = &cols[range];
+            let (lo, hi) = (mine[0] as usize, mine[mine.len() - 1] as usize + 1);
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut((lo - at) * nb);
+            let (rows, tail) = tail.split_at_mut((hi - lo) * nb);
+            parts.push((mine, rows));
+            (rest, at) = (tail, hi);
+        }
+        ingrass_par::par_map_mut_with(threads, &mut parts, |(mine, rows)| {
+            schur_columns(chol, &pivot_of[sh], &coupling[sh], mine, rows, nb);
+        });
+    }
+    for b in 0..nb {
+        for bp in b + 1..nb {
+            st.swap(b * nb + bp, bp * nb + b);
+        }
+    }
+    DenseMatrix::from_rows(nb, nb, &st)
+}
+
+/// One worker's share of a shard's Schur update: for each boundary column
+/// `b` in `cols` (ascending), `rows[(b − cols[0])·nb + b'] += w·y[i]` for
+/// every coupling entry `(i, b', w)` in stored order, where `y = A⁻¹ E[:, b]`.
+/// Columns are solved [`SCHUR_TILE`] at a time as one row-major block in
+/// the factor's pivot basis.
+fn schur_columns(
+    chol: &SparseCholesky,
+    pivot_of: &[u32],
+    entries: &[(u32, u32, f64)],
+    cols: &[u32],
+    rows: &mut [f64],
+    nb: usize,
+) {
+    let (m, lo) = (chol.dim(), cols[0] as usize);
+    let mut y = Vec::new();
+    for tile in cols.chunks(SCHUR_TILE) {
+        let k = tile.len();
+        let y = block::scratch_slice(&mut y, m * k);
+        y.fill(0.0);
+        // Column b of E_s: entries −w at the coupled rows.
+        for &(i, b, w) in entries {
+            if let Ok(c) = tile.binary_search(&b) {
+                y[pivot_of[i as usize] as usize * k + c] -= w;
+            }
+        }
+        chol.solve_permuted_block_in_place(y, k);
+        for (c, &b) in tile.iter().enumerate() {
+            let row = &mut rows[(b as usize - lo) * nb..][..nb];
+            for &(i, bp, w) in entries {
+                // −(E_sᵀ y)[bp] with E[i, bp] = −w ⇒ +w·y[i].
+                row[bp as usize] += w * y[pivot_of[i as usize] as usize * k + c];
+            }
         }
     }
 }
@@ -524,6 +611,86 @@ mod tests {
         p4.apply(&r, &mut z4);
         assert_eq!(z1, z4, "stitched solve differs across build widths");
         assert_eq!(p1.factor_nnz(), p4.factor_nnz());
+    }
+
+    /// The boundary Schur factor as the build computed it one column at
+    /// a time: a dense right-hand side per coupled boundary column,
+    /// `solve_into`, then `+= w·y[i]` into `L_BB` over the coupling in
+    /// stored order, shards and columns ascending; then `cholesky()`.
+    fn reference_schur(g: &Graph, shard_of: &[u32], shards: usize) -> DenseMatrix {
+        let blocks = assemble(g, shard_of, shards);
+        let nb = blocks.boundary.len();
+        let mut s = DenseMatrix::from_rows(nb, nb, &blocks.lbb);
+        for (sh, trips) in blocks.trips.iter().enumerate() {
+            let m = blocks.interiors[sh].len();
+            if m == 0 {
+                continue;
+            }
+            let chol = SparseCholesky::factor(&CsrMatrix::from_triplets(m, m, trips)).unwrap();
+            let entries = &blocks.coupling[sh];
+            let mut cols: Vec<u32> = entries.iter().map(|&(_, b, _)| b).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            for &b in &cols {
+                let mut rhs = vec![0.0f64; m];
+                for &(i, bp, w) in entries {
+                    if bp == b {
+                        rhs[i as usize] -= w;
+                    }
+                }
+                let mut y = vec![0.0f64; m];
+                chol.solve_into(&rhs, &mut y);
+                for &(i, bp, w) in entries {
+                    s.add(bp as usize, b as usize, w * y[i as usize]);
+                }
+            }
+        }
+        s.cholesky().unwrap()
+    }
+
+    fn dense_bits(m: &DenseMatrix) -> Vec<u64> {
+        let n = m.n_rows();
+        (0..n * n).map(|e| m.get(e / n, e % n).to_bits()).collect()
+    }
+
+    /// A GRASS sparsifier of a Delaunay mesh, cut by the sharded engine's
+    /// own routing into four shards.
+    fn delaunay_shards() -> (Graph, Vec<u32>) {
+        let g0 = ingrass_gen::TestCase::DelaunayN18.build(0.01, 7);
+        let h0 = ingrass_baselines::GrassSparsifier::default()
+            .by_offtree_density(&g0, 0.10)
+            .unwrap()
+            .graph;
+        let eng = crate::ShardedEngine::setup(
+            &h0,
+            &crate::SetupConfig::default(),
+            &crate::ShardedConfig::default().with_shards(4),
+        )
+        .unwrap();
+        let shard_of = eng.routing().shard_of_slice().to_vec();
+        (eng.assembled_graph().unwrap(), shard_of)
+    }
+
+    #[test]
+    fn schur_factor_matches_the_column_by_column_build() {
+        for ((g, shard_of), shards) in [(two_blocks(), 2), (delaunay_shards(), 4)] {
+            let want = dense_bits(&reference_schur(&g, &shard_of, shards));
+            for threads in [1, 2, 3, 4] {
+                let pre = StitchedPrecond::build(&g, &shard_of, shards, 0, threads).unwrap();
+                if shards == 4 {
+                    // Some shard's columns span more than one tile.
+                    let widest = pre.coupling.iter().map(|entries| {
+                        let mut cols: Vec<u32> = entries.iter().map(|&(_, b, _)| b).collect();
+                        cols.sort_unstable();
+                        cols.dedup();
+                        cols.len()
+                    });
+                    assert!(widest.max().unwrap() > SCHUR_TILE);
+                }
+                let got = dense_bits(pre.schur.as_ref().unwrap());
+                assert_eq!(got, want, "{shards} shards at width {threads}");
+            }
+        }
     }
 
     #[test]

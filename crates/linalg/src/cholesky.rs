@@ -10,7 +10,14 @@
 //!
 //! * [`min_degree_order`] — an AMD-lite minimum-degree ordering: eliminate
 //!   the vertex of least degree, connect its neighbours into a clique,
-//!   repeat. Deterministic (ties break on the smaller node index).
+//!   repeat. Deterministic (ties break on the smaller node index). It runs
+//!   on the explicit elimination graph, with exact degrees. While the graph
+//!   is large and sparse each uneliminated vertex keeps its neighbours as
+//!   one sorted `Vec<u32>`, and eliminating a pivot is one linear merge of
+//!   its list into each neighbour's. Once at most 256 vertices remain —
+//!   the dense tail, where merges would cost the square of the degree per
+//!   pivot — each keeps a bitset row instead, and once one pivot touches
+//!   every remaining vertex the rest is a clique whose order is known.
 //! * [`SparseCholesky`] — up-looking sparse `L Lᵀ` factorisation over the
 //!   elimination tree, `O(|L|)` forward/backward solves, and a
 //!   [`Preconditioner`] impl so a factor can drop straight into [`crate::pcg`].
@@ -20,16 +27,16 @@ use crate::cg::Preconditioner;
 use crate::error::LinalgError;
 use crate::CsrMatrix;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 
 /// AMD-lite fill-reducing ordering of a symmetric sparsity pattern.
 ///
 /// Classic minimum degree: repeatedly eliminate the vertex of smallest
-/// current degree in the quotient graph (ties break on the smaller index,
-/// so the ordering is deterministic), turning its neighbourhood into a
-/// clique. No supernode detection or degree approximation — "lite" — but
-/// on the mesh/grid Laplacians this workspace factors it keeps fill within
-/// a small constant of full AMD.
+/// current degree in the elimination graph (ties break on the smaller
+/// index, so the ordering is deterministic), turning its neighbourhood
+/// into a clique. No supernode detection or degree approximation — "lite"
+/// — but on the mesh/grid Laplacians this workspace factors it keeps fill
+/// within a small constant of full AMD.
 ///
 /// Returns `perm` with `perm[k]` = the original index eliminated at step
 /// `k` (i.e. new-to-old).
@@ -38,121 +45,238 @@ use std::collections::{BTreeSet, BinaryHeap};
 /// Panics if `a` is not square.
 pub fn min_degree_order(a: &CsrMatrix) -> Vec<usize> {
     assert_eq!(a.n_rows(), a.n_cols(), "min_degree_order: square input");
-    min_degree_core(a, None, None).0
+    min_degree_core(a, None).0
 }
 
-/// Constrained AMD-lite: minimum-degree elimination under a vertex
-/// priority (CAMD). All vertices of priority `p` are eliminated before any
-/// vertex of priority `p + 1`; *within* one priority class the pivot is
-/// the vertex of smallest current quotient-graph degree (ties on index).
+/// AMD-lite with a structural hint, reporting the exact factor size.
 ///
-/// This is the glue between a structural ordering (e.g. a nested
-/// dissection tree, whose constraint classes are "region interiors before
-/// their separators, finer separators before coarser") and the local
-/// fill-reduction a pure lexicographic tree order lacks.
-///
-/// Returns `perm` with `perm[k]` = the original index eliminated at step
-/// `k` (new-to-old).
-///
-/// # Panics
-/// Panics if `a` is not square or `priority.len() != a.n_rows()`.
-pub fn min_degree_order_with_priority(a: &CsrMatrix, priority: &[u32]) -> Vec<usize> {
-    assert_eq!(a.n_rows(), a.n_cols(), "min_degree_order: square input");
-    assert_eq!(
-        priority.len(),
-        a.n_rows(),
-        "min_degree_order_with_priority: one priority per vertex"
-    );
-    min_degree_core(a, Some(priority), None).0
-}
-
-/// AMD-lite with structural hints, reporting the exact factor size.
-///
-/// `hard_priority` (optional) is a CAMD constraint as in
-/// [`min_degree_order_with_priority`]. `tiebreak` (optional) is a *soft*
-/// hint consulted only between vertices of equal current degree (and equal
-/// hard priority): lower tie values are eliminated first. Soft hints never
-/// override the degree heuristic — they steer it where it is indifferent,
-/// which is how a separator structure can defer "bad" vertices (e.g.
-/// churn-inserted chord endpoints) at zero cost.
+/// `tiebreak` (optional) is a *soft* hint consulted only between vertices
+/// of equal current degree: lower tie values are eliminated first. Soft
+/// hints never override the degree heuristic — they steer it where it is
+/// indifferent, which is how a separator structure can defer "bad"
+/// vertices (e.g. churn-inserted chord endpoints) at zero cost.
 ///
 /// Returns `(perm, fill)` where `fill` is exactly `nnz(L)` (stored entries
 /// including the diagonal) of a Cholesky factorisation of `a`'s pattern
-/// under `perm` — the quotient-graph elimination materialises the filled
-/// graph, so the count is a byproduct. Lets callers race orderings and
-/// keep the cheapest without a numeric factorisation per candidate.
+/// under `perm` — the elimination graph is the filled graph, so the count
+/// is a byproduct. Lets callers race orderings and keep the cheapest
+/// without a numeric factorisation per candidate.
 ///
 /// # Panics
-/// Panics if `a` is not square or a hint slice has the wrong length.
-pub fn min_degree_order_with_hints(
-    a: &CsrMatrix,
-    hard_priority: Option<&[u32]>,
-    tiebreak: Option<&[u32]>,
-) -> (Vec<usize>, usize) {
+/// Panics if `a` is not square or `tiebreak` has the wrong length.
+pub fn min_degree_order_with_hints(a: &CsrMatrix, tiebreak: Option<&[u32]>) -> (Vec<usize>, usize) {
     assert_eq!(a.n_rows(), a.n_cols(), "min_degree_order: square input");
-    for hint in [hard_priority, tiebreak].into_iter().flatten() {
+    if let Some(hint) = tiebreak {
         assert_eq!(
             hint.len(),
             a.n_rows(),
             "min_degree_order_with_hints: one hint entry per vertex"
         );
     }
-    min_degree_core(a, hard_priority, tiebreak)
+    min_degree_core(a, tiebreak)
 }
 
-fn min_degree_core(
-    a: &CsrMatrix,
-    priority: Option<&[u32]>,
-    tiebreak: Option<&[u32]>,
-) -> (Vec<usize>, usize) {
+/// Minimum-degree elimination with a lazy heap keyed `(degree, tie,
+/// index)`: an entry whose vertex is gone, or whose degree no longer
+/// matches the vertex's, is skipped when popped. Every degree change pushes
+/// a fresh entry, so the pivot is always the least key among the remaining
+/// vertices — which fixes the whole order, however the graph is stored.
+fn min_degree_core(a: &CsrMatrix, tiebreak: Option<&[u32]>) -> (Vec<usize>, usize) {
     let n = a.n_rows();
-    let pri = |v: usize| priority.map_or(0, |p| p[v]);
     let tie = |v: usize| tiebreak.map_or(0, |t| t[v]);
-    let mut adj: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
-    for r in 0..n {
-        let (cols, _) = a.row(r);
-        for &c in cols {
-            if c as usize != r {
-                adj[r].insert(c);
-                adj[c as usize].insert(r as u32);
-            }
-        }
-    }
-    let mut heap: BinaryHeap<Reverse<(u32, usize, u32, u32)>> = (0..n)
-        .map(|v| Reverse((pri(v), adj[v].len(), tie(v), v as u32)))
+    let mut graph = EliminationGraph::new(a);
+    let mut heap: BinaryHeap<Reverse<(usize, u32, u32)>> = (0..n)
+        .map(|v| Reverse((graph.degree[v], tie(v), v as u32)))
         .collect();
-    let mut eliminated = vec![false; n];
     let mut perm = Vec::with_capacity(n);
     let mut fill = 0usize;
-    while let Some(Reverse((_, deg, _, v))) = heap.pop() {
+    while let Some(Reverse((deg, _, v))) = heap.pop() {
         let v = v as usize;
-        // Lazy heap: skip stale entries (already eliminated or re-pushed
-        // with a different degree after a neighbour's elimination).
-        if eliminated[v] || adj[v].len() != deg {
+        if !graph.live[v] || graph.degree[v] != deg {
             continue;
         }
-        eliminated[v] = true;
         perm.push(v);
         // The factor column for this pivot holds the diagonal plus one
         // entry per uneliminated neighbour in the filled graph.
         fill += 1 + deg;
-        let neighbours: Vec<u32> = adj[v].iter().copied().collect();
-        // Detach v, then join its neighbourhood into a clique.
-        for &u in &neighbours {
-            adj[u as usize].remove(&(v as u32));
+        if deg + 1 == graph.remaining {
+            // v neighbours every other remaining vertex, so they are left
+            // as a clique: each later pivot has the same degree as the rest
+            // and loses one, so they go by (tie, index) and the r of them
+            // add r + (r − 1) + … + 1 entries.
+            let mut rest: Vec<usize> = (0..n).filter(|&u| u != v && graph.live[u]).collect();
+            rest.sort_unstable_by_key(|&u| (tie(u), u));
+            fill += deg * (deg + 1) / 2;
+            perm.extend(rest);
+            break;
         }
-        for (i, &u) in neighbours.iter().enumerate() {
-            for &w in &neighbours[i + 1..] {
-                adj[u as usize].insert(w);
-                adj[w as usize].insert(u);
-            }
-        }
-        for &u in &neighbours {
-            let u = u as usize;
-            heap.push(Reverse((pri(u), adj[u].len(), tie(u), u as u32)));
-        }
+        graph.eliminate(v, |u, d| heap.push(Reverse((d, tie(u), u as u32))));
     }
     (perm, fill)
+}
+
+/// Remaining vertices at which the elimination graph switches from
+/// neighbour lists to bitset rows (at most four words a row).
+const DENSE_TAIL: usize = 256;
+
+/// The elimination graph of a minimum-degree run: the uneliminated
+/// vertices and every edge of the filled graph among them. While it is
+/// large and sparse each vertex keeps a sorted neighbour list, and
+/// eliminating a pivot merges its list into each neighbour's. Once at most
+/// [`DENSE_TAIL`] vertices remain — where elimination has made the graph
+/// nearly complete and list merges cost the square of the degree per
+/// pivot — each vertex keeps a bitset row instead, and a merge is an OR of
+/// a few words.
+struct EliminationGraph {
+    /// Current degree of every uneliminated vertex.
+    degree: Vec<usize>,
+    live: Vec<bool>,
+    remaining: usize,
+    /// Sorted neighbour lists (emptied when the bitset rows take over).
+    lists: Vec<Vec<u32>>,
+    /// Scratch for list merges.
+    merged: Vec<u32>,
+    /// Bitset rows, once they take over.
+    rows: Option<BitRows>,
+}
+
+/// One bitset row of `words` words per vertex that remained at the switch.
+struct BitRows {
+    /// Vertex of each row.
+    vertex: Vec<u32>,
+    /// Row of each vertex.
+    row_of: Vec<u32>,
+    words: usize,
+    bits: Vec<u64>,
+    /// Scratch copy of the pivot's row.
+    pivot: Vec<u64>,
+}
+
+impl EliminationGraph {
+    /// The symmetrised pattern of `a` without its diagonal.
+    fn new(a: &CsrMatrix) -> Self {
+        let n = a.n_rows();
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for r in 0..n {
+            for &c in a.row(r).0 {
+                if c as usize != r {
+                    lists[r].push(c);
+                    lists[c as usize].push(r as u32);
+                }
+            }
+        }
+        for list in &mut lists {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let mut graph = EliminationGraph {
+            degree: lists.iter().map(Vec::len).collect(),
+            live: vec![true; n],
+            remaining: n,
+            lists,
+            merged: Vec::new(),
+            rows: None,
+        };
+        if n <= DENSE_TAIL {
+            graph.switch_to_rows();
+        }
+        graph
+    }
+
+    /// Eliminates `v`: its neighbours become a clique. Reports each
+    /// neighbour's new degree to `changed`.
+    fn eliminate(&mut self, v: usize, mut changed: impl FnMut(usize, usize)) {
+        self.live[v] = false;
+        self.remaining -= 1;
+        if let Some(rows) = &mut self.rows {
+            // row[u] ← (row[u] ∪ row[v]) \ {u, v} for each neighbour u.
+            let (w, rv) = (rows.words, rows.row_of[v] as usize);
+            rows.pivot.clear();
+            rows.pivot
+                .extend_from_slice(&rows.bits[rv * w..(rv + 1) * w]);
+            for (k, &word) in rows.pivot.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    let ru = k * 64 + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    let row = &mut rows.bits[ru * w..(ru + 1) * w];
+                    for (x, &y) in row.iter_mut().zip(&rows.pivot) {
+                        *x |= y;
+                    }
+                    row[ru / 64] &= !(1 << (ru % 64));
+                    row[rv / 64] &= !(1 << (rv % 64));
+                    let u = rows.vertex[ru] as usize;
+                    self.degree[u] = row.iter().map(|x| x.count_ones() as usize).sum();
+                    changed(u, self.degree[u]);
+                }
+            }
+            return;
+        }
+        // lists[u] ← (lists[u] ∪ lists[v]) \ {u, v}, one merge of sorted
+        // lists per neighbour u.
+        let clique = std::mem::take(&mut self.lists[v]);
+        for &u in &clique {
+            let u = u as usize;
+            union_without(
+                &self.lists[u],
+                &clique,
+                u as u32,
+                v as u32,
+                &mut self.merged,
+            );
+            std::mem::swap(&mut self.lists[u], &mut self.merged);
+            self.degree[u] = self.lists[u].len();
+            changed(u, self.degree[u]);
+        }
+        if self.remaining <= DENSE_TAIL {
+            self.switch_to_rows();
+        }
+    }
+
+    /// Moves the remaining vertices' lists into bitset rows.
+    fn switch_to_rows(&mut self) {
+        let n = self.live.len();
+        let vertex: Vec<u32> = (0..n as u32).filter(|&u| self.live[u as usize]).collect();
+        let mut row_of = vec![u32::MAX; n];
+        for (r, &u) in vertex.iter().enumerate() {
+            row_of[u as usize] = r as u32;
+        }
+        let words = vertex.len().div_ceil(64);
+        let mut bits = vec![0u64; vertex.len() * words];
+        for (r, &u) in vertex.iter().enumerate() {
+            for &x in &std::mem::take(&mut self.lists[u as usize]) {
+                let c = row_of[x as usize] as usize;
+                bits[r * words + c / 64] |= 1 << (c % 64);
+            }
+        }
+        self.rows = Some(BitRows {
+            vertex,
+            row_of,
+            words,
+            bits,
+            pivot: Vec::with_capacity(words),
+        });
+    }
+}
+
+/// `out` ← the sorted union of the sorted lists `a` and `b`, less `x` and
+/// `y`.
+fn union_without(a: &[u32], b: &[u32], x: u32, y: u32, out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let m = a[i].min(b[j]);
+        i += usize::from(a[i] == m);
+        j += usize::from(b[j] == m);
+        if m != x && m != y {
+            out.push(m);
+        }
+    }
+    for &m in a[i..].iter().chain(&b[j..]) {
+        if m != x && m != y {
+            out.push(m);
+        }
+    }
 }
 
 /// Sparse Cholesky factorisation `P A Pᵀ = L Lᵀ` of a symmetric positive
@@ -878,6 +1002,137 @@ mod tests {
             }
         }
         CsrMatrix::from_triplets(n - 1, n - 1, &t)
+    }
+
+    /// The minimum-degree kernel the elimination-graph version replays:
+    /// per-vertex `BTreeSet` adjacency, the pivot's clique inserted pair
+    /// by pair, the same heap key and lazy-deletion rule.
+    fn min_degree_reference(a: &CsrMatrix, tiebreak: Option<&[u32]>) -> (Vec<usize>, usize) {
+        use std::collections::BTreeSet;
+        let n = a.n_rows();
+        let tie = |v: usize| tiebreak.map_or(0, |t| t[v]);
+        let mut adj: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
+        for r in 0..n {
+            for &c in a.row(r).0 {
+                if c as usize != r {
+                    adj[r].insert(c);
+                    adj[c as usize].insert(r as u32);
+                }
+            }
+        }
+        let mut heap: BinaryHeap<Reverse<(usize, u32, u32)>> = (0..n)
+            .map(|v| Reverse((adj[v].len(), tie(v), v as u32)))
+            .collect();
+        let mut eliminated = vec![false; n];
+        let mut perm = Vec::with_capacity(n);
+        let mut fill = 0usize;
+        while let Some(Reverse((deg, _, v))) = heap.pop() {
+            let v = v as usize;
+            if eliminated[v] || adj[v].len() != deg {
+                continue;
+            }
+            eliminated[v] = true;
+            perm.push(v);
+            fill += 1 + deg;
+            let neighbours: Vec<u32> = adj[v].iter().copied().collect();
+            for &u in &neighbours {
+                adj[u as usize].remove(&(v as u32));
+            }
+            for (i, &u) in neighbours.iter().enumerate() {
+                for &w in &neighbours[i + 1..] {
+                    adj[u as usize].insert(w);
+                    adj[w as usize].insert(u);
+                }
+            }
+            for &u in &neighbours {
+                let u = u as usize;
+                heap.push(Reverse((adj[u].len(), tie(u), u as u32)));
+            }
+        }
+        (perm, fill)
+    }
+
+    /// `(perm, fill)` of the kernel and the reference agree with and
+    /// without a tie-break hint.
+    fn assert_min_degree_matches(a: &CsrMatrix, tiebreak: &[u32], case: &str) {
+        for hint in [None, Some(tiebreak)] {
+            assert_eq!(
+                min_degree_order_with_hints(a, hint),
+                min_degree_reference(a, hint),
+                "{case}, hint {}",
+                hint.is_some()
+            );
+        }
+    }
+
+    #[test]
+    fn min_degree_matches_the_reference_elimination() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let pattern = |n: usize, edges: &[(usize, usize)]| {
+            let mut t: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, i, 1.0)).collect();
+            for &(u, v) in edges {
+                t.push((u, v, 1.0));
+                t.push((v, u, 1.0));
+            }
+            CsrMatrix::from_triplets(n, n, &t)
+        };
+        let mut rng = StdRng::seed_from_u64(0x6d64);
+        for case in 0..240 {
+            let (n, mut edges) = if case % 4 == 0 {
+                // A grid with random chords, larger than the bitset tail,
+                // so elimination starts on neighbour lists and switches.
+                let side = rng.random_range(17usize..23);
+                let n = side * side;
+                let mut edges = Vec::new();
+                for v in 0..n {
+                    if v % side + 1 < side {
+                        edges.push((v, v + 1));
+                    }
+                    if v + side < n {
+                        edges.push((v, v + side));
+                    }
+                }
+                (n, edges)
+            } else {
+                // From a near-tree to a dense tangle, so the pivots'
+                // cliques range from a few vertices to most of the graph.
+                let n = rng.random_range(0usize..90);
+                (n, Vec::new())
+            };
+            if n >= 2 {
+                let m = if case % 4 == 0 {
+                    n / 16
+                } else {
+                    rng.random_range(0..4 * n)
+                };
+                edges.extend((0..m).map(|_| (rng.random_range(0..n), rng.random_range(0..n))));
+            }
+            let ties: Vec<u32> = (0..n).map(|_| rng.random_range(0u32..4)).collect();
+            assert_min_degree_matches(&pattern(n, &edges), &ties, &format!("random {case}"));
+        }
+        // Two grids, a path and isolated vertices, none connected.
+        let grid = grounded_laplacian_grid(12);
+        let g = grid.n_rows();
+        let mut edges = Vec::new();
+        for base in [0, g] {
+            for r in 0..g {
+                for &c in grid.row(r).0 {
+                    edges.push((base + r, base + c as usize));
+                }
+            }
+        }
+        edges.extend((0..9).map(|i| (2 * g + i, 2 * g + i + 1)));
+        let n = 2 * g + 14;
+        assert!(n > DENSE_TAIL);
+        let ties: Vec<u32> = (0..n).map(|v| (v % 3) as u32).collect();
+        assert_min_degree_matches(&pattern(n, &edges), &ties, "disconnected");
+        let clique: Vec<(usize, usize)> =
+            (0..16).flat_map(|u| (0..u).map(move |v| (u, v))).collect();
+        assert_min_degree_matches(&pattern(16, &clique), &[1; 16], "clique");
+        for n in [0, 1] {
+            assert_min_degree_matches(&pattern(n, &[]), &vec![0; n], "trivial");
+        }
     }
 
     #[test]

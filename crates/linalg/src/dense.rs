@@ -114,7 +114,16 @@ impl DenseMatrix {
     }
 
     /// Cholesky factorisation `A = LLᵀ` of a symmetric positive definite
-    /// matrix; returns the lower factor.
+    /// matrix; returns the lower factor. Only the lower triangle of `self`
+    /// is read.
+    ///
+    /// Left-looking by columns: entry `(i, j)` is
+    /// `(a_ij − Σ_{k<j} l_ik·l_jk) / l_jj`, each subtraction taken in
+    /// ascending `k`. The chains of one column are independent, so they run
+    /// together: the columns of `L` are built contiguously and every `k`
+    /// updates the whole remaining column as one slice operation. Each
+    /// entry still sees exactly its own sequence of operations, so the
+    /// factor is the same to the bit as the row-by-row recurrence.
     ///
     /// # Errors
     /// [`LinalgError::NotSpd`] if a pivot is non-positive;
@@ -127,26 +136,43 @@ impl DenseMatrix {
             });
         }
         let n = self.n_rows;
-        let mut l = DenseMatrix::zeros(n, n);
+        // `cols[j * n + i]` = l_ij: column j of L, contiguous.
+        let mut cols = vec![0.0; n * n];
         for j in 0..n {
-            let mut d = self.get(j, j);
-            for k in 0..j {
-                d -= l.get(j, k) * l.get(j, k);
+            let (done, rest) = cols.split_at_mut(j * n);
+            // Rows j..n of column j; row j's chain is the pivot's.
+            let col = &mut rest[j..n];
+            for (i, s) in col.iter_mut().enumerate() {
+                *s = self.data[(j + i) * n + j];
             }
+            for lk in done.chunks_exact(n) {
+                let ljk = lk[j];
+                for (s, &lik) in col.iter_mut().zip(&lk[j..]) {
+                    *s -= lik * ljk;
+                }
+            }
+            let d = col[0];
             if d <= 0.0 || !d.is_finite() {
                 return Err(LinalgError::NotSpd { pivot: j });
             }
             let dj = d.sqrt();
-            l.set(j, j, dj);
-            for i in (j + 1)..n {
-                let mut s = self.get(i, j);
-                for k in 0..j {
-                    s -= l.get(i, k) * l.get(j, k);
-                }
-                l.set(i, j, s / dj);
+            col[0] = dj;
+            for s in &mut col[1..] {
+                *s /= dj;
             }
         }
-        Ok(l)
+        // Transposed in place, the columns become the rows of L, and the
+        // never-written upper half of each column its zero upper triangle.
+        for j in 0..n {
+            for i in j + 1..n {
+                cols.swap(j * n + i, i * n + j);
+            }
+        }
+        Ok(DenseMatrix {
+            n_rows: n,
+            n_cols: n,
+            data: cols,
+        })
     }
 
     /// Solves `A x = b` for SPD `A` via Cholesky.
@@ -364,6 +390,97 @@ fn lower_solve_tile<const W: usize>(l: &DenseMatrix, b: &mut [f64], k: usize, c0
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The row-by-row Cholesky recurrence the column kernel replays: one
+    /// `s -= l_ik·l_jk` chain at a time, `k` ascending.
+    fn cholesky_reference(a: &DenseMatrix) -> Result<DenseMatrix, LinalgError> {
+        let n = a.n_rows;
+        let mut l = DenseMatrix::zeros(n, n);
+        for j in 0..n {
+            let mut d = a.get(j, j);
+            for k in 0..j {
+                d -= l.get(j, k) * l.get(j, k);
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(LinalgError::NotSpd { pivot: j });
+            }
+            let dj = d.sqrt();
+            l.set(j, j, dj);
+            for i in (j + 1)..n {
+                let mut s = a.get(i, j);
+                for k in 0..j {
+                    s -= l.get(i, k) * l.get(j, k);
+                }
+                l.set(i, j, s / dj);
+            }
+        }
+        Ok(l)
+    }
+
+    /// A seeded symmetric matrix: off-diagonals in `[-1, 1)`, diagonal
+    /// `shift` plus `[0, 1)` (SPD once `shift ≥ n`).
+    fn random_symmetric(n: usize, shift: f64, seed: u64) -> DenseMatrix {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut a = DenseMatrix::zeros(n, n);
+        for i in 0..n {
+            a.set(i, i, shift + rng.random::<f64>());
+            for j in 0..i {
+                let v = rng.random_range(-1.0..1.0);
+                a.set(i, j, v);
+                a.set(j, i, v);
+            }
+        }
+        a
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn cholesky_matches_the_row_recurrence_bit_for_bit() {
+        let sizes = (0..=20).chain([100, 300]);
+        for (seed, n) in sizes.enumerate() {
+            let mut a = random_symmetric(n, n as f64, seed as u64);
+            let want = bits(&cholesky_reference(&a).unwrap());
+            assert_eq!(bits(&a.cholesky().unwrap()), want, "n = {n}");
+            // The upper triangle is never read.
+            for i in 0..n {
+                for j in i + 1..n {
+                    a.set(i, j, f64::NAN);
+                }
+            }
+            assert_eq!(bits(&a.cholesky().unwrap()), want, "n = {n}, NaN above");
+        }
+    }
+
+    #[test]
+    fn cholesky_reports_the_reference_pivot_on_indefinite_input() {
+        let mut late_failures = 0;
+        for seed in 0..40u64 {
+            let n = 2 + (seed as usize % 30);
+            // A diagonal shift of √n / 2 leaves the spectrum well below
+            // zero, so the recurrence breaks down part-way through.
+            let mut a = random_symmetric(n, 0.5 * (n as f64).sqrt(), 1000 + seed);
+            if seed % 5 == 0 {
+                a.set(n / 2, n / 2, f64::NAN);
+            }
+            let want = cholesky_reference(&a);
+            if let Err(LinalgError::NotSpd { pivot }) = want {
+                late_failures += usize::from(pivot > 0);
+            }
+            match (a.cholesky(), want) {
+                (Ok(got), Ok(want)) => assert_eq!(bits(&got), bits(&want), "seed {seed}"),
+                (got, want) => assert_eq!(got.err(), want.err(), "seed {seed}"),
+            }
+        }
+        assert!(
+            late_failures >= 20,
+            "only {late_failures} inputs fail past pivot 0"
+        );
+    }
 
     #[test]
     fn cholesky_of_identity() {

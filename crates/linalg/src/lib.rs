@@ -60,10 +60,7 @@ pub mod vector;
 
 pub use cg::{pcg, pcg_multi, CgOptions, CgResult, IdentityPrecond, JacobiPrecond, Preconditioner};
 pub use cg_block::{pcg_block, BlockPcg};
-pub use cholesky::{
-    min_degree_order, min_degree_order_with_hints, min_degree_order_with_priority, CholeskyState,
-    SparseCholesky,
-};
+pub use cholesky::{min_degree_order, min_degree_order_with_hints, CholeskyState, SparseCholesky};
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::LinalgError;

@@ -169,6 +169,8 @@ pub struct PersistentEngine {
     /// Batches logged since the last snapshot (drives
     /// [`StorePolicy::snapshot_every`]).
     batches_since_snapshot: u64,
+    /// Automatic checkpoints that failed since this handle was made.
+    checkpoint_failures: u64,
 }
 
 impl PersistentEngine {
@@ -222,6 +224,7 @@ impl PersistentEngine {
             wal,
             engine,
             batches_since_snapshot: 0,
+            checkpoint_failures: 0,
         })
     }
 
@@ -284,6 +287,7 @@ impl PersistentEngine {
                 wal,
                 engine,
                 batches_since_snapshot: replayed_batches + replayed_resetups,
+                checkpoint_failures: 0,
             },
             report,
         ))
@@ -303,10 +307,12 @@ impl PersistentEngine {
     /// positive, `target_condition < 2`) returns [`StoreError::Engine`]
     /// before anything is logged, so it never reaches replay. An I/O
     /// error while logging leaves the engine untouched (the write is
-    /// ahead of the apply). A failed checkpoint is different: the batch
-    /// is already applied and logged when the due snapshot fails, yet
-    /// the call returns `Err`, so a caller that retries the batch applies
-    /// it twice.
+    /// ahead of the apply). `Ok` means the batch is logged and applied,
+    /// so an `Err` is always safe to retry. A failed automatic
+    /// checkpoint does not fail the call: it counts in
+    /// [`PersistentEngine::checkpoint_failures`], and when the snapshot
+    /// itself was not written the checkpoint stays due, so the next
+    /// logged record tries it again.
     pub fn apply_batch(
         &mut self,
         ops: &[UpdateOp],
@@ -340,7 +346,7 @@ impl PersistentEngine {
             write,
         )?;
         let report = self.engine.apply_batch(ops, cfg)?;
-        self.note_logged()?;
+        self.note_logged();
         Ok(report)
     }
 
@@ -350,7 +356,9 @@ impl PersistentEngine {
     /// them from the ledger).
     ///
     /// # Errors
-    /// As for [`ingrass::SnapshotEngine::resetup`], plus I/O.
+    /// As for [`ingrass::SnapshotEngine::resetup`], plus I/O while
+    /// logging. A failed automatic checkpoint is counted, not returned, as
+    /// for [`PersistentEngine::apply_batch`].
     pub fn resetup(&mut self) -> Result<PublishReport, StoreError> {
         self.wal.append(
             &WalRecord::Resetup,
@@ -358,20 +366,23 @@ impl PersistentEngine {
             self.policy.fsync,
         )?;
         let report = self.engine.resetup()?;
-        self.note_logged()?;
+        self.note_logged();
         Ok(report)
     }
 
-    /// Bookkeeping after a logged record: counts toward the snapshot
-    /// cadence and checkpoints when due.
-    fn note_logged(&mut self) -> Result<(), StoreError> {
+    /// Bookkeeping after a logged and applied record: counts toward the
+    /// snapshot cadence and checkpoints when due. The record is durable in
+    /// the WAL either way, so a failed checkpoint is counted rather than
+    /// returned; a failed snapshot write leaves the cadence counter as it
+    /// is, so the next logged record retries it.
+    fn note_logged(&mut self) {
         self.batches_since_snapshot += 1;
         if self.policy.snapshot_every > 0
             && self.batches_since_snapshot >= self.policy.snapshot_every
+            && self.snapshot_now().is_err()
         {
-            self.snapshot_now()?;
+            self.checkpoint_failures += 1;
         }
-        Ok(())
     }
 
     /// Checkpoints the current serving state as a durable snapshot and —
@@ -380,6 +391,10 @@ impl PersistentEngine {
     /// are kept so a torn checkpoint always has a fallback).
     ///
     /// Returns the snapshot file path.
+    ///
+    /// # Errors
+    /// I/O errors of the snapshot write, the WAL compaction or the
+    /// snapshot pruning.
     pub fn snapshot_now(&mut self) -> Result<PathBuf, StoreError> {
         let path = write_snapshot(
             &self.dir,
@@ -423,11 +438,20 @@ impl PersistentEngine {
     pub fn wal_seq(&self) -> u64 {
         self.wal.last_seq()
     }
+
+    /// Automatic checkpoints (the ones [`StorePolicy::snapshot_every`]
+    /// makes due) that failed since this handle was created or opened.
+    /// The records they would have covered stay recoverable from the WAL,
+    /// and a checkpoint whose snapshot was not written stays due.
+    pub fn checkpoint_failures(&self) -> u64 {
+        self.checkpoint_failures
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::snapshot_path;
     use crate::wal::tests::{injected_fault, torn_rotation};
     use ingrass::state::ServingState;
     use std::time::Duration;
@@ -553,5 +577,45 @@ mod tests {
             assert_eq!(normalized(reopened.engine().export_state()), state);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn a_failed_checkpoint_keeps_the_batch_and_retries() {
+        let n = 24;
+        let edges: Vec<(usize, usize, f64)> = (0..n).map(|i| (i, (i + 1) % n, 1.0)).collect();
+        let h0 = Graph::from_edges(n, &edges).unwrap();
+        let ucfg = UpdateConfig::default();
+        let policy = StorePolicy::default().with_snapshot_every(2);
+        let dir =
+            std::env::temp_dir().join(format!("ingrass-engine-ckpt-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut live =
+            PersistentEngine::create(&dir, &h0, &SetupConfig::default(), policy).unwrap();
+        live.apply_batch(&[insert(0, 5, 1.5)], &ucfg).unwrap();
+        // The second batch publishes sequence `publishes() + 1` and makes
+        // its snapshot due; a directory squatting on that snapshot's
+        // temporary file makes the write fail.
+        let blocker = snapshot_path(&dir, live.engine().publishes() + 1).with_extension("tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let wal_seq = live.wal_seq();
+        live.apply_batch(&[insert(2, 14, 0.5)], &ucfg)
+            .expect("a logged and applied batch reports success");
+        assert_eq!(live.wal_seq(), wal_seq + 1);
+        assert_eq!(live.checkpoint_failures(), 1);
+
+        std::fs::remove_dir(&blocker).unwrap();
+        live.apply_batch(&[insert(3, 17, 1.0)], &ucfg).unwrap();
+        assert_eq!(live.checkpoint_failures(), 1);
+        assert!(
+            snapshot_path(&dir, live.engine().publishes()).exists(),
+            "the checkpoint still due retries after the next record"
+        );
+        let state = normalized(live.engine().export_state());
+        drop(live);
+
+        let (recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
+        assert_eq!(report.replayed_batches, 0);
+        assert_eq!(normalized(recovered.engine().export_state()), state);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -51,7 +51,7 @@ pub struct LoadedSnapshot {
     pub path: PathBuf,
 }
 
-fn snapshot_path(dir: &Path, sequence: u64) -> PathBuf {
+pub(crate) fn snapshot_path(dir: &Path, sequence: u64) -> PathBuf {
     dir.join(format!("snap-{sequence:020}.bin"))
 }
 
