@@ -1,5 +1,5 @@
-//! Criterion timing ablations for design choices DESIGN.md calls out:
-//! spanning-tree constructions and GRASS selection policies. (The *quality*
+//! Criterion timing ablations of two design choices: spanning-tree
+//! constructions and GRASS selection policies. (The *quality*
 //! side of these ablations lives in the `ablation` binary, which prints κ
 //! tables.)
 

@@ -1,11 +1,9 @@
-//! Criterion benchmarks of the three effective-resistance estimators
-//! (setup-phase ablation: Krylov vs JL vs exact-CG).
+//! Criterion benchmarks of the setup phase's Krylov resistance embedding:
+//! build cost, query cost against exact CG solves, and a dimension sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ingrass_gen::{grid_2d, WeightModel};
-use ingrass_resistance::{
-    ExactResistance, JlConfig, JlEmbedder, KrylovConfig, KrylovEmbedder, ResistanceEstimator,
-};
+use ingrass_resistance::{ExactResistance, KrylovConfig, KrylovEmbedder, ResistanceEstimator};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("resistance_build");
@@ -13,9 +11,6 @@ fn bench_build(c: &mut Criterion) {
     let g = grid_2d(40, 40, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 3);
     group.bench_function("krylov_default", |b| {
         b.iter(|| KrylovEmbedder::build(&g, &KrylovConfig::default()).expect("build"))
-    });
-    group.bench_function("jl_default", |b| {
-        b.iter(|| JlEmbedder::build(&g, &JlConfig::default()).expect("build"))
     });
     group.finish();
 }
@@ -33,15 +28,6 @@ fn bench_query(c: &mut Criterion) {
             pairs
                 .iter()
                 .map(|&(u, v)| krylov.resistance(u.into(), v.into()))
-                .sum::<f64>()
-        })
-    });
-    let jl = JlEmbedder::build(&g, &JlConfig::default()).expect("build");
-    group.bench_function("jl_1000_pairs", |b| {
-        b.iter(|| {
-            pairs
-                .iter()
-                .map(|&(u, v)| jl.resistance(u.into(), v.into()))
                 .sum::<f64>()
         })
     });

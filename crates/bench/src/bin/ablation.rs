@@ -1,16 +1,15 @@
-//! Quality ablations for the design choices DESIGN.md calls out:
-//! spanning-tree backbone × selection policy for the GRASS baseline, and
-//! resistance backend × diameter growth for the inGRASS setup.
+//! Quality ablations of two design choices: spanning-tree backbone ×
+//! selection policy for the GRASS baseline, and the LRD diameter growth
+//! factor γ for the inGRASS setup.
 //!
 //! `cargo run -p ingrass-bench --release --bin ablation [--scale f]`
 
-use ingrass::{InGrassEngine, ResistanceBackend, SetupConfig, UpdateConfig};
+use ingrass::{InGrassEngine, SetupConfig, UpdateConfig};
 use ingrass_baselines::{GrassConfig, GrassSparsifier, SelectionPolicy, TreeKind};
 use ingrass_bench::HarnessOptions;
 use ingrass_gen::{InsertionStream, TestCase};
 use ingrass_graph::DynGraph;
 use ingrass_metrics::{estimate_condition_number, ConditionOptions, SparsifierDensity};
-use ingrass_resistance::JlConfig;
 
 fn main() {
     let opts = HarnessOptions::from_args();
@@ -50,13 +49,10 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // Ablation B: inGRASS resistance backend × LRD growth factor.
+    // Ablation B: inGRASS LRD diameter growth factor.
     // ------------------------------------------------------------------
     println!("\nAblation B — inGRASS: final λmax / off-tree density after 10 update batches");
-    println!(
-        "{:<14} {:>18} {:>18} {:>18} {:>18}",
-        "case", "krylov γ=4", "krylov γ=2", "jl γ=4", "local-only γ=4"
-    );
+    println!("{:<14} {:>18} {:>18}", "case", "γ=4", "γ=2");
     for case in [TestCase::G2Circuit, TestCase::DelaunayN18] {
         let g0 = case.build(opts.scale, opts.seed);
         let h0 = GrassSparsifier::default()
@@ -76,15 +72,11 @@ fn main() {
         let density = SparsifierDensity::new(g0.num_nodes());
 
         print!("{:<14}", case.name());
-        let configs: Vec<SetupConfig> = vec![
-            SetupConfig::default(),
-            SetupConfig::default().with_diameter_growth(2.0),
-            SetupConfig::default().with_resistance(ResistanceBackend::Jl(JlConfig::default())),
-            SetupConfig::default().with_resistance(ResistanceBackend::LocalOnly),
-        ];
-        for setup in configs {
-            let mut engine =
-                InGrassEngine::setup(&h0.graph, &setup.with_seed(opts.seed)).expect("setup");
+        for gamma in [4.0, 2.0] {
+            let setup = SetupConfig::default()
+                .with_diameter_growth(gamma)
+                .with_seed(opts.seed);
+            let mut engine = InGrassEngine::setup(&h0.graph, &setup).expect("setup");
             let ucfg = UpdateConfig {
                 target_condition: target,
                 ..Default::default()

@@ -8,7 +8,7 @@
 //! | `table2` | Table II — 10-iteration update comparison | `cargo run -p ingrass-bench --release --bin table2` |
 //! | `table3` | Table III — robustness across initial densities | `cargo run -p ingrass-bench --release --bin table3` |
 //! | `fig4`   | Fig. 4 — runtime scalability (CSV series) | `cargo run -p ingrass-bench --release --bin fig4` |
-//! | `ablation` | ours — tree/selection/backend quality ablations | `cargo run -p ingrass-bench --release --bin ablation` |
+//! | `ablation` | ours — tree/selection and diameter-growth quality ablations | `cargo run -p ingrass-bench --release --bin ablation` |
 //! | `compare` | ours — paired perfbench runs of two builds, judged against `BENCHMARK.json` | `cargo run -p ingrass-bench --release --bin compare -- --base <bin> --head <bin>` |
 //!
 //! The table/figure binaries accept `--scale <f64>` (graph size as a

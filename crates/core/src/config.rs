@@ -1,34 +1,12 @@
 //! Setup and update configuration.
 //!
 //! This module is the one-stop shop for every knob the engine reads:
-//! [`SetupConfig`] / [`ResistanceBackend`] / [`DriftPolicy`] for the setup
-//! phase, [`UpdateConfig`] for update batches, and (re-exported from their
-//! home modules) the estimator configs [`KrylovConfig`] / [`JlConfig`] and
-//! the serving layer's [`FactorPolicy`]. The facade crate's `config`
-//! module re-exports all of them alongside the solve and store configs.
+//! [`SetupConfig`] / [`DriftPolicy`] for the setup phase, [`UpdateConfig`]
+//! for update batches, and (re-exported from its home module) the serving
+//! layer's [`FactorPolicy`]. The facade crate's `config` module re-exports
+//! all of them alongside the solve and store configs.
 
 pub use crate::snapshot::FactorPolicy;
-pub use ingrass_resistance::{JlConfig, KrylovConfig, KrylovOperator};
-
-/// Which estimator supplies the per-edge effective resistances consumed by
-/// the LRD decomposition (setup phase 1).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ResistanceBackend {
-    /// The paper's solve-free Krylov-subspace embedding (default).
-    Krylov(KrylovConfig),
-    /// Spielman–Srivastava projections with tree-preconditioned CG solves —
-    /// sharper but performs `O(log N)` Laplacian solves (ablation).
-    Jl(JlConfig),
-    /// Use each edge's own resistance `1/w(e)` — the zero-cost floor
-    /// (ablation; ignores parallel paths entirely).
-    LocalOnly,
-}
-
-impl Default for ResistanceBackend {
-    fn default() -> Self {
-        ResistanceBackend::Krylov(KrylovConfig::default())
-    }
-}
 
 /// When accumulated churn drift forces an automatic re-setup.
 ///
@@ -77,10 +55,12 @@ impl DriftPolicy {
 }
 
 /// Configuration of the one-time setup phase.
+///
+/// Setup phase 1 always estimates edge resistances with the paper's
+/// solve-free Krylov embedding ([`ingrass_resistance::KrylovEmbedder`] at
+/// its default dimension, seeded by [`SetupConfig::seed`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetupConfig {
-    /// Resistance estimator for the sparsifier's edges.
-    pub resistance: ResistanceBackend,
     /// Per-level growth factor `γ` of the resistance-diameter budget
     /// (default 4; must be > 1).
     pub diameter_growth: f64,
@@ -91,7 +71,7 @@ pub struct SetupConfig {
     /// Hard cap on the number of LRD levels (default 64 — effectively
     /// "until one cluster remains").
     pub max_levels: usize,
-    /// RNG seed threaded into the resistance estimator.
+    /// RNG seed of the Krylov resistance embedding.
     pub seed: u64,
     /// When churn drift triggers an automatic re-setup.
     pub drift: DriftPolicy,
@@ -100,7 +80,6 @@ pub struct SetupConfig {
 impl Default for SetupConfig {
     fn default() -> Self {
         SetupConfig {
-            resistance: ResistanceBackend::default(),
             diameter_growth: 4.0,
             initial_diameter: None,
             max_levels: 64,
@@ -111,12 +90,6 @@ impl Default for SetupConfig {
 }
 
 impl SetupConfig {
-    /// Returns the config with the given resistance backend.
-    pub fn with_resistance(mut self, backend: ResistanceBackend) -> Self {
-        self.resistance = backend;
-        self
-    }
-
     /// Returns the config with the given diameter growth factor.
     pub fn with_diameter_growth(mut self, gamma: f64) -> Self {
         self.diameter_growth = gamma;
@@ -192,7 +165,6 @@ mod tests {
         let s = SetupConfig::default();
         assert!(s.diameter_growth > 1.0);
         assert!(s.max_levels >= 8);
-        assert!(matches!(s.resistance, ResistanceBackend::Krylov(_)));
         let u = UpdateConfig::default();
         assert!(u.target_condition >= 2.0);
         assert!(u.sort_by_distortion);
@@ -203,11 +175,9 @@ mod tests {
         let s = SetupConfig::default()
             .with_diameter_growth(2.0)
             .with_seed(9)
-            .with_resistance(ResistanceBackend::LocalOnly)
             .with_drift(DriftPolicy::never());
         assert_eq!(s.diameter_growth, 2.0);
         assert_eq!(s.seed, 9);
-        assert!(matches!(s.resistance, ResistanceBackend::LocalOnly));
         assert!(!s.drift.auto_resetup);
     }
 

@@ -1,14 +1,14 @@
 //! The incremental sparsification engine (setup + update phases).
 
-use crate::config::{ResistanceBackend, SetupConfig, UpdateConfig};
+use crate::config::{SetupConfig, UpdateConfig};
 use crate::connectivity::ClusterConnectivity;
 use crate::error::InGrassError;
 use crate::ledger::{validate_batch, UpdateLedger, UpdateOp};
-use crate::lrd::{LrdHierarchy, LrdLevel};
+use crate::lrd::LrdHierarchy;
 use crate::report::{EdgeOutcome, PhaseTimer, SetupReport, UpdateReport};
 use crate::Result;
 use ingrass_graph::{is_connected, DynGraph, Graph, NodeId};
-use ingrass_resistance::{JlEmbedder, KrylovEmbedder, ResistanceEstimator};
+use ingrass_resistance::{KrylovConfig, KrylovEmbedder, ResistanceEstimator};
 
 /// The setup-phase artifacts rebuilt at every (re)setup.
 struct SetupArtifacts {
@@ -116,7 +116,7 @@ impl InGrassEngine {
     }
 
     /// Validates the input graph and runs setup phase 1: per-edge
-    /// effective-resistance estimates with the configured backend.
+    /// effective-resistance estimates from the Krylov embedding.
     ///
     /// Shared by [`InGrassEngine::build_artifacts`] and the sharded
     /// coordinator (`crate::shard`), which needs a *global* hierarchy for
@@ -130,21 +130,9 @@ impl InGrassEngine {
                 "initial sparsifier must be connected".into(),
             ));
         }
-        Ok(match &cfg.resistance {
-            ResistanceBackend::Krylov(kc) => {
-                let kc = kc.clone().with_seed(cfg.seed);
-                let emb = KrylovEmbedder::build(h0, &kc)
-                    .map_err(|e| InGrassError::BadSparsifier(e.to_string()))?;
-                emb.edge_resistances(h0)
-            }
-            ResistanceBackend::Jl(jc) => {
-                let jc = jc.clone().with_seed(cfg.seed);
-                let emb = JlEmbedder::build(h0, &jc)
-                    .map_err(|e| InGrassError::BadSparsifier(e.to_string()))?;
-                emb.edge_resistances(h0)
-            }
-            ResistanceBackend::LocalOnly => h0.edges().iter().map(|e| 1.0 / e.weight).collect(),
-        })
+        let emb = KrylovEmbedder::build(h0, &KrylovConfig::default().with_seed(cfg.seed))
+            .map_err(|e| InGrassError::BadSparsifier(e.to_string()))?;
+        Ok(emb.edge_resistances(h0))
     }
 
     /// The three setup phases, shared by [`InGrassEngine::setup`] and every
@@ -778,18 +766,7 @@ impl InGrassEngine {
     pub fn export_state(&self) -> crate::state::EngineState {
         crate::state::EngineState {
             num_nodes: self.h.num_nodes(),
-            levels: self
-                .hierarchy
-                .levels()
-                .iter()
-                .map(|lvl| crate::state::LrdLevelState {
-                    cluster_of: lvl.cluster_of.clone(),
-                    diameter: lvl.diameter.clone(),
-                    size: lvl.size.clone(),
-                    num_clusters: lvl.num_clusters,
-                    threshold: lvl.threshold,
-                })
-                .collect(),
+            levels: self.hierarchy.levels().to_vec(),
             connectivity: self.connectivity.export_state(),
             edge_slots: self.h.edge_slots(),
             surplus: self.surplus.clone(),
@@ -828,19 +805,7 @@ impl InGrassEngine {
                 state.edge_slots.len()
             )));
         }
-        let hierarchy = LrdHierarchy::from_levels(
-            state
-                .levels
-                .into_iter()
-                .map(|lvl| LrdLevel {
-                    cluster_of: lvl.cluster_of,
-                    diameter: lvl.diameter,
-                    size: lvl.size,
-                    num_clusters: lvl.num_clusters,
-                    threshold: lvl.threshold,
-                })
-                .collect(),
-        )?;
+        let hierarchy = LrdHierarchy::from_levels(state.levels)?;
         if hierarchy.num_nodes() != state.num_nodes {
             return Err(InGrassError::InvalidConfig(format!(
                 "hierarchy labels {} nodes, sparsifier has {}",
@@ -892,8 +857,7 @@ mod tests {
         // keep `should_resetup` decidable — batches apply cleanly and no
         // NaN fraction can fire (or permanently suppress) a re-setup.
         let h0 = Graph::from_edges(1, &[]).unwrap();
-        let cfg = SetupConfig::default().with_resistance(crate::ResistanceBackend::LocalOnly);
-        let mut engine = InGrassEngine::setup(&h0, &cfg).unwrap();
+        let mut engine = InGrassEngine::setup(&h0, &SetupConfig::default()).unwrap();
         let drift = engine.ledger().drift().deleted_weight_fraction();
         assert_eq!(drift, 0.0);
         assert!(drift.is_finite());
@@ -1493,22 +1457,6 @@ mod tests {
         let (ga, gb) = (a.sparsifier_graph(), b.sparsifier_graph());
         assert_eq!(ga.num_edges(), gb.num_edges());
         assert!((ga.total_weight() - gb.total_weight()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn jl_and_local_backends_also_setup() {
-        use crate::config::ResistanceBackend;
-        let (_g, h0) = sparsifier_fixture(10, 11);
-        for backend in [
-            ResistanceBackend::Jl(ingrass_resistance::JlConfig::default()),
-            ResistanceBackend::LocalOnly,
-        ] {
-            let engine =
-                InGrassEngine::setup(&h0, &SetupConfig::default().with_resistance(backend))
-                    .unwrap();
-            assert!(engine.setup_report().levels >= 2);
-            assert_eq!(engine.hierarchy().levels().last().unwrap().num_clusters, 1);
-        }
     }
 
     proptest! {

@@ -81,7 +81,7 @@ mod shard;
 mod snapshot;
 pub mod state;
 
-pub use config::{DriftPolicy, ResistanceBackend, SetupConfig, UpdateConfig};
+pub use config::{DriftPolicy, SetupConfig, UpdateConfig};
 pub use connectivity::ClusterConnectivity;
 pub use engine::InGrassEngine;
 pub use error::{InGrassError, IngrassError};

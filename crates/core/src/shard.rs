@@ -56,7 +56,7 @@ use crate::config::{DriftPolicy, SetupConfig, UpdateConfig};
 use crate::engine::InGrassEngine;
 use crate::error::InGrassError;
 use crate::ledger::{validate_batch, ResetupReason, UpdateOp};
-use crate::lrd::{LrdHierarchy, LrdLevel};
+use crate::lrd::LrdHierarchy;
 use crate::report::{PhaseTimer, UpdateReport};
 use crate::snapshot::{
     PublishReport, SnapshotCell, SnapshotPrecond, SnapshotReader, SparsifierSnapshot,
@@ -706,11 +706,6 @@ impl ShardedEngine {
         &self.hierarchy
     }
 
-    /// Read access to one shard's engine (stats, ledger).
-    pub fn shard_engine(&self, shard: usize) -> &InGrassEngine {
-        &self.engines[shard]
-    }
-
     /// Nodes in the routed graph.
     pub fn num_nodes(&self) -> usize {
         self.routing.num_nodes()
@@ -765,18 +760,7 @@ impl ShardedEngine {
             shard_of: self.routing.shard_of_slice().to_vec(),
             routing_level: self.routing.level(),
             boundary_edges: self.boundary.to_edges(),
-            levels: self
-                .hierarchy
-                .levels()
-                .iter()
-                .map(|lvl| crate::state::LrdLevelState {
-                    cluster_of: lvl.cluster_of.clone(),
-                    diameter: lvl.diameter.clone(),
-                    size: lvl.size.clone(),
-                    num_clusters: lvl.num_clusters,
-                    threshold: lvl.threshold,
-                })
-                .collect(),
+            levels: self.hierarchy.levels().to_vec(),
             setup_cfg: self.setup_cfg.clone(),
             shard_count: self.shard_cfg.shards,
             threads: self.shard_cfg.threads,
@@ -818,19 +802,7 @@ impl ShardedEngine {
             threads: state.threads,
         };
         shard_cfg.validate()?;
-        let hierarchy = Arc::new(LrdHierarchy::from_levels(
-            state
-                .levels
-                .into_iter()
-                .map(|lvl| LrdLevel {
-                    cluster_of: lvl.cluster_of,
-                    diameter: lvl.diameter,
-                    size: lvl.size,
-                    num_clusters: lvl.num_clusters,
-                    threshold: lvl.threshold,
-                })
-                .collect(),
-        )?);
+        let hierarchy = Arc::new(LrdHierarchy::from_levels(state.levels)?);
         if hierarchy.num_nodes() != state.shard_of.len() {
             return Err(InGrassError::InvalidConfig(format!(
                 "hierarchy labels {} nodes, routing covers {}",

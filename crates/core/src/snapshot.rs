@@ -504,38 +504,6 @@ impl FactorPolicy {
         }
         Ok(())
     }
-
-    /// Returns the policy with [`FactorPolicy::incremental`] replaced.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Returns the policy with [`FactorPolicy::fill_growth`] replaced.
-    pub fn with_fill_growth(mut self, fill_growth: f64) -> Self {
-        self.fill_growth = fill_growth;
-        self
-    }
-
-    /// Returns the policy with
-    /// [`FactorPolicy::max_updates_between_refactors`] replaced.
-    pub fn with_max_updates_between_refactors(mut self, max: u64) -> Self {
-        self.max_updates_between_refactors = max;
-        self
-    }
-
-    /// Returns the policy with [`FactorPolicy::max_patch_fraction`]
-    /// replaced.
-    pub fn with_max_patch_fraction(mut self, fraction: f64) -> Self {
-        self.max_patch_fraction = fraction;
-        self
-    }
-
-    /// Returns the policy with [`FactorPolicy::order_staleness`] replaced.
-    pub fn with_order_staleness(mut self, staleness: f64) -> Self {
-        self.order_staleness = staleness;
-        self
-    }
 }
 
 /// What one [`SnapshotEngine::apply_batch`] did: the engine's own update

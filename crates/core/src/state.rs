@@ -30,6 +30,7 @@
 //! sums.
 
 use crate::config::SetupConfig;
+use crate::lrd::LrdLevel;
 use crate::report::SetupReport;
 use crate::snapshot::FactorPolicy;
 use ingrass_linalg::CholeskyState;
@@ -83,22 +84,6 @@ pub struct LedgerState {
     pub staleness_max: u32,
 }
 
-/// Exact state of one [`crate::LrdLevel`] — mirrors its public fields so
-/// the store crate can encode a hierarchy without new accessors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LrdLevelState {
-    /// Cluster index of every node.
-    pub cluster_of: Vec<u32>,
-    /// Resistance-diameter upper bound per cluster.
-    pub diameter: Vec<f64>,
-    /// Node count per cluster.
-    pub size: Vec<u32>,
-    /// Number of clusters at this level.
-    pub num_clusters: usize,
-    /// Diameter budget that formed this level.
-    pub threshold: f64,
-}
-
 /// Exact state of an [`crate::InGrassEngine`].
 ///
 /// Produced by [`crate::InGrassEngine::export_state`]; consumed (with
@@ -108,7 +93,7 @@ pub struct EngineState {
     /// Node count of the sparsifier.
     pub num_nodes: usize,
     /// The LRD hierarchy, level by level.
-    pub levels: Vec<LrdLevelState>,
+    pub levels: Vec<LrdLevel>,
     /// The cluster-connectivity index, exactly as maintained.
     pub connectivity: ConnectivityState,
     /// The sparsifier's edge-slot array including tombstones
@@ -200,7 +185,7 @@ pub struct ShardedState {
     /// Cross-shard boundary edges `(u, v, w)` in canonical order.
     pub boundary_edges: Vec<(u32, u32, f64)>,
     /// The global LRD hierarchy's levels (per-level cluster labels).
-    pub levels: Vec<LrdLevelState>,
+    pub levels: Vec<LrdLevel>,
     /// The coordinator's setup configuration (the user's drift policy —
     /// shard engines persist their own drift-disabled copies).
     pub setup_cfg: SetupConfig,

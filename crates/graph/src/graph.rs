@@ -55,18 +55,6 @@ impl Graph {
         Ok(b.build())
     }
 
-    /// Builds a graph from canonical [`Edge`] values (already validated).
-    ///
-    /// # Errors
-    /// Same conditions as [`Graph::from_edges`].
-    pub fn from_edge_list(n: usize, edges: &[Edge]) -> Result<Self> {
-        let mut b = GraphBuilder::new(n);
-        for e in edges {
-            b.add_edge(e.u.index(), e.v.index(), e.weight)?;
-        }
-        Ok(b.build())
-    }
-
     pub(crate) fn from_canonical_edges(n: usize, mut edges: Vec<Edge>) -> Self {
         // Coalesce duplicates.
         edges.sort_unstable_by_key(|e| (e.u, e.v));

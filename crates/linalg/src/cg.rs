@@ -273,9 +273,9 @@ where
 /// initial guess, distributing the (mutually independent) solves over
 /// `threads` workers.
 ///
-/// This is the batched form the embedding estimators use: the JL sketch and
-/// the condition estimator all issue `O(log n)` independent Laplacian solves
-/// against one fixed operator/preconditioner pair. The batch is split into
+/// This is the batched form `SolveService` in `ingrass-solve` uses for a
+/// batch of right-hand sides against one fixed operator/preconditioner
+/// pair. The batch is split into
 /// `min(threads, len)` contiguous, near-equal blocks
 /// ([`ingrass_par::split_even`]), and each worker solves its block with the
 /// [`crate::pcg_block`] kernel. Results are **bit-for-bit identical to

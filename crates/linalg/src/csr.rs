@@ -65,34 +65,6 @@ impl CsrMatrix {
         m
     }
 
-    /// Builds a CSR matrix directly from its raw parts.
-    ///
-    /// Rows must be sorted by column index with no duplicates; this is
-    /// checked with `debug_assert!` only.
-    pub fn from_raw_parts(
-        n_rows: usize,
-        n_cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<u32>,
-        data: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(indptr.len(), n_rows + 1);
-        debug_assert_eq!(*indptr.last().unwrap_or(&0), indices.len());
-        debug_assert_eq!(indices.len(), data.len());
-        #[cfg(debug_assertions)]
-        for r in 0..n_rows {
-            let cols = &indices[indptr[r]..indptr[r + 1]];
-            debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row not sorted");
-        }
-        CsrMatrix {
-            n_rows,
-            n_cols,
-            indptr,
-            indices,
-            data,
-        }
-    }
-
     fn sort_and_coalesce(&mut self) {
         let mut new_indptr = Vec::with_capacity(self.n_rows + 1);
         let mut new_indices = Vec::with_capacity(self.indices.len());

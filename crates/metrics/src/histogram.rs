@@ -218,12 +218,6 @@ impl LatencyHistogram {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-
-    /// The raw bucket counts (underflow, 64 log-spaced buckets, overflow)
-    /// — for serialization into perf reports.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Deterministic parallel primitives for the inGRASS workspace.
 //!
-//! Every hot path in this workspace — Krylov probe smoothing, JL probe
-//! solves, batched CG right-hand sides, per-edge distortion scoring — is an
+//! Every hot path in this workspace — Krylov probe smoothing, batched CG
+//! right-hand sides, per-edge distortion scoring — is an
 //! *index-parallel* map: item `i` is computed from `i` (and shared read-only
 //! state) alone. This crate runs such maps across threads while keeping the
 //! output **bit-for-bit identical to the serial loop at any thread count**:

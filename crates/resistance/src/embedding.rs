@@ -6,9 +6,9 @@ use ingrass_graph::{Graph, NodeId};
 
 /// An `n × d` row-major matrix of node coordinates.
 ///
-/// Both the Krylov and the JL estimators reduce resistance queries to
-/// squared Euclidean distances between embedding rows; this type holds the
-/// rows and implements [`ResistanceEstimator`] directly.
+/// The Krylov estimator reduces resistance queries to squared Euclidean
+/// distances between embedding rows; this type holds the rows and
+/// implements [`ResistanceEstimator`] directly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeEmbedding {
     n: usize,

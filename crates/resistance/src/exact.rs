@@ -17,7 +17,7 @@ enum Backend {
 }
 
 /// Exact effective resistance, used as the test oracle and as a reference
-/// estimator in ablation benches.
+/// estimator in the resistance benches.
 ///
 /// Two backends:
 /// * [`ExactResistance::dense`] — `O(n³)` eigendecomposition once, `O(1)`

@@ -7,40 +7,14 @@ use ingrass_linalg::vector::{
 };
 use ingrass_linalg::{CsrMatrix, DenseMatrix};
 
-/// Which operator spans the Krylov subspace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KrylovOperator {
-    /// Damped random-walk smoothing `(1−ω)·I + ω·D⁻¹A` (equivalently one
-    /// weighted-Jacobi sweep, since `D⁻¹A = I − D⁻¹L`). Power iterations on
-    /// this operator converge onto the *smooth* (low Laplacian frequency)
-    /// modes that dominate effective resistance — the same solver-free
-    /// smoothing SF-GRASS \[9\] uses. Default, with `ω = 0.7` (damping keeps
-    /// the alternating mode of bipartite-ish graphs out of the subspace).
-    SmoothedAdjacency {
-        /// Jacobi damping factor in `(0, 1]`.
-        omega: f64,
-        /// Number of smoothing sweeps applied to every random probe vector
-        /// (randomized subspace iteration depth).
-        steps: usize,
-    },
-    /// Raw power iterations on the weighted adjacency matrix `A` — the
-    /// paper's literal prescription (`x, Ax, A²x, …`). On irregular graphs
-    /// the subspace aligns with high-degree local structure instead of the
-    /// smooth modes; kept as an ablation.
-    Adjacency,
-    /// Power iterations on the Laplacian `L` — an ablation alternative that
-    /// emphasises high-frequency modes.
-    Laplacian,
-}
+/// Jacobi damping factor `ω` of the smoothing operator
+/// `(1−ω)·I + ω·D⁻¹A`, in `(0, 1]`. Damping keeps the alternating mode of
+/// bipartite-ish graphs out of the subspace.
+const OMEGA: f64 = 0.7;
 
-impl Default for KrylovOperator {
-    fn default() -> Self {
-        KrylovOperator::SmoothedAdjacency {
-            omega: 0.7,
-            steps: 8,
-        }
-    }
-}
+/// Smoothing sweeps applied to every random probe (randomized subspace
+/// iteration depth).
+const STEPS: usize = 8;
 
 /// Configuration for [`KrylovEmbedder::build`].
 #[derive(Debug, Clone, PartialEq)]
@@ -49,9 +23,7 @@ pub struct KrylovConfig {
     /// `⌈log₂ n⌉ + 4`, matching the paper's `O(log N)` prescription with a
     /// constant that keeps small graphs accurate.
     pub dim: Option<usize>,
-    /// Operator generating the subspace.
-    pub operator: KrylovOperator,
-    /// RNG seed for the start vector.
+    /// RNG seed of the random probes.
     pub seed: u64,
     /// Worker threads for the embarrassingly parallel stages (probe
     /// smoothing, Rayleigh–Ritz assembly, coordinate columns). `None`
@@ -65,7 +37,6 @@ impl Default for KrylovConfig {
     fn default() -> Self {
         KrylovConfig {
             dim: None,
-            operator: KrylovOperator::default(),
             seed: 42,
             threads: None,
         }
@@ -76,12 +47,6 @@ impl KrylovConfig {
     /// Returns the config with an explicit embedding dimension.
     pub fn with_dim(mut self, dim: usize) -> Self {
         self.dim = Some(dim);
-        self
-    }
-
-    /// Returns the config with the given operator.
-    pub fn with_operator(mut self, op: KrylovOperator) -> Self {
-        self.operator = op;
         self
     }
 
@@ -100,21 +65,27 @@ impl KrylovConfig {
 
 /// The paper's scalable effective-resistance estimator (Section III-B-1).
 ///
-/// Builds orthonormal vectors `ũ_1 … ũ_m` spanning the Krylov subspace
-/// `K_m(A, x)` of a random start vector, then estimates
+/// Smooths `m` seeded random probes with the damped random-walk operator
+/// `(1−ω)·I + ω·D⁻¹A` (one weighted-Jacobi sweep, since
+/// `D⁻¹A = I − D⁻¹L`), orthonormalises them into `ũ_1 … ũ_m`, then
+/// estimates
 ///
 /// ```text
 /// R(p, q) ≈ Σ_i (ũ_iᵀ b_pq)² / (ũ_iᵀ L ũ_i)        (paper eq. (3))
 /// ```
 ///
 /// which is the squared distance between rows of the node embedding
-/// `y_p[i] = ũ_i[p] / sqrt(ũ_iᵀ L ũ_i)`. Cost: `m` sparse mat-vecs plus
+/// `y_p[i] = ũ_i[p] / sqrt(ũ_iᵀ L ũ_i)`. The sweeps pull every probe onto
+/// the smooth (low Laplacian frequency) modes that dominate effective
+/// resistance — the solver-free smoothing SF-GRASS \[9\] uses — which the
+/// paper's literal single-vector chain `x, Ax, A²x, …` does not on
+/// irregular graphs. Cost: a fixed number of sparse mat-vecs per probe plus
 /// `O(n m²)` orthogonalisation — no linear solves.
 ///
 /// The estimate is coarse in absolute terms but preserves the *ordering* of
 /// resistances well, which is all the LRD decomposition and the distortion
 /// ranking need (validated against [`crate::ExactResistance`] in this
-/// crate's tests and the `bench_resistance` ablation).
+/// crate's tests and the workspace's `oracle_resistance` suite).
 #[derive(Debug, Clone, PartialEq)]
 pub struct KrylovEmbedder {
     embedding: NodeEmbedding,
@@ -173,10 +144,7 @@ fn build_krylov_embedding(g: &Graph, cfg: &KrylovConfig) -> Result<NodeEmbedding
         .clamp(1, n.saturating_sub(1).max(1));
 
     let lap: CsrMatrix = g.laplacian();
-    let adj: Option<CsrMatrix> = match cfg.operator {
-        KrylovOperator::Laplacian => None,
-        _ => Some(g.adjacency_matrix()),
-    };
+    let adj: CsrMatrix = g.adjacency_matrix();
     let inv_deg: Vec<f64> = (0..n)
         .map(|u| {
             let d = g.weighted_degree(NodeId::new(u));
@@ -187,79 +155,45 @@ fn build_krylov_embedding(g: &Graph, cfg: &KrylovConfig) -> Result<NodeEmbedding
             }
         })
         .collect();
-    // One application of the chosen iteration operator.
-    let apply = |x: &[f64]| -> Vec<f64> {
-        match cfg.operator {
-            KrylovOperator::SmoothedAdjacency { omega, .. } => {
-                let mut y = adj.as_ref().expect("adjacency built").matvec_alloc(x);
-                for ((yi, xi), di) in y.iter_mut().zip(x).zip(&inv_deg) {
-                    *yi = (1.0 - omega) * xi + omega * *yi * di;
-                }
-                y
-            }
-            KrylovOperator::Adjacency => adj.as_ref().expect("adjacency built").matvec_alloc(x),
-            KrylovOperator::Laplacian => lap.matvec_alloc(x),
+    // One sweep of the smoothing operator `(1−ω)·I + ω·D⁻¹A`.
+    let smooth = |x: &[f64]| -> Vec<f64> {
+        let mut y = adj.matvec_alloc(x);
+        for ((yi, xi), di) in y.iter_mut().zip(x).zip(&inv_deg) {
+            *yi = (1.0 - OMEGA) * xi + OMEGA * *yi * di;
         }
+        y
     };
 
     let threads = cfg.threads.unwrap_or_else(ingrass_par::num_threads);
 
-    // Build the subspace. For the smoothed operator we run randomized
-    // subspace iteration (a *block* of m random probes, each smoothed
-    // `steps` times — this covers the m lowest Laplacian modes far better
-    // than a single Krylov chain); for the ablation operators we grow the
-    // classical single-vector Krylov chain of the paper's eq. (3).
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
-    if let KrylovOperator::SmoothedAdjacency { steps, .. } = cfg.operator {
-        // Each probe starts from its own seeded random vector and is
-        // smoothed independently — the hot O(m · steps · nnz) stage runs in
-        // parallel, and only the (order-sensitive, O(n m²)) MGS pass below
-        // stays serial, so the basis is identical at any thread count.
-        let smoothed: Vec<Vec<f64>> = ingrass_par::par_map_range_with(threads, m, |i| {
-            let mut w = random_unit_perp_ones(n, ingrass_par::derive_seed(cfg.seed, i as u64));
-            for _ in 0..steps {
-                w = apply(&w);
-                project_out_ones(&mut w);
-                if normalize(&mut w) <= f64::MIN_POSITIVE.sqrt() {
-                    break; // probe annihilated (can happen on tiny graphs)
-                }
-            }
-            w
-        });
-        for mut w in smoothed {
-            mgs_orthogonalize(&mut w, &basis);
-            if normalize(&mut w) <= 1e-12 {
-                continue; // rank-deficient probe; skip
-            }
-            basis.push(w);
-        }
-        if basis.is_empty() {
-            basis.push(random_unit_perp_ones(n, cfg.seed));
-        }
-    } else {
-        let mut v = random_unit_perp_ones(n, cfg.seed);
-        basis.push(v.clone());
-        let mut restarts = 0u64;
-        while basis.len() < m {
-            let mut w = apply(&v);
+    // Randomized subspace iteration: a *block* of m random probes, each
+    // smoothed `STEPS` times, covers the m lowest Laplacian modes far
+    // better than a single Krylov chain. Each probe starts from its own
+    // seeded random vector and is smoothed independently — the hot
+    // O(m · STEPS · nnz) stage runs in parallel, and only the
+    // (order-sensitive, O(n m²)) MGS pass below stays serial, so the basis
+    // is identical at any thread count.
+    let smoothed: Vec<Vec<f64>> = ingrass_par::par_map_range_with(threads, m, |i| {
+        let mut w = random_unit_perp_ones(n, ingrass_par::derive_seed(cfg.seed, i as u64));
+        for _ in 0..STEPS {
+            w = smooth(&w);
             project_out_ones(&mut w);
-            mgs_orthogonalize(&mut w, &basis);
-            if normalize(&mut w) <= 1e-12 {
-                // Krylov space exhausted — restart with a fresh random
-                // direction orthogonal to everything found so far.
-                restarts += 1;
-                if basis.len() + (restarts as usize) > n {
-                    break;
-                }
-                w = random_unit_perp_ones(n, cfg.seed.wrapping_add(restarts));
-                mgs_orthogonalize(&mut w, &basis);
-                if normalize(&mut w) <= 1e-12 {
-                    break;
-                }
+            if normalize(&mut w) <= f64::MIN_POSITIVE.sqrt() {
+                break; // probe annihilated (can happen on tiny graphs)
             }
-            basis.push(w.clone());
-            v = w;
         }
+        w
+    });
+    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m);
+    for mut w in smoothed {
+        mgs_orthogonalize(&mut w, &basis);
+        if normalize(&mut w) <= 1e-12 {
+            continue; // rank-deficient probe; skip
+        }
+        basis.push(w);
+    }
+    if basis.is_empty() {
+        basis.push(random_unit_perp_ones(n, cfg.seed));
     }
 
     // Rayleigh–Ritz on L over the Krylov space: the projected matrix
@@ -320,30 +254,6 @@ fn build_krylov_embedding(g: &Graph, cfg: &KrylovConfig) -> Result<NodeEmbedding
         }
     }
     Ok(NodeEmbedding::from_rows(n, dim, data))
-}
-
-/// Estimates per-edge effective resistances of `g` via the Krylov embedding
-/// (paper setup phase 1) — convenience wrapper.
-///
-/// # Errors
-/// [`GraphError::Empty`] if the graph has no nodes.
-pub fn krylov_edge_resistances(g: &Graph, cfg: &KrylovConfig) -> Result<Vec<f64>, GraphError> {
-    let emb = build_krylov_embedding(g, cfg)?;
-    Ok(g.edges().iter().map(|e| emb.distance2(e.u, e.v)).collect())
-}
-
-/// Resistance between two nodes via a fresh embedding — test convenience.
-///
-/// # Errors
-/// [`GraphError::Empty`] if the graph has no nodes.
-pub fn krylov_resistance(
-    g: &Graph,
-    u: NodeId,
-    v: NodeId,
-    cfg: &KrylovConfig,
-) -> Result<f64, GraphError> {
-    let emb = build_krylov_embedding(g, cfg)?;
-    Ok(emb.distance2(u, v))
 }
 
 #[cfg(test)]
@@ -449,16 +359,6 @@ mod tests {
         }
         let rho = spearman(&approx, &truth);
         assert!(rho > 0.6, "spearman correlation too low: {rho}");
-    }
-
-    #[test]
-    fn laplacian_operator_variant_also_works() {
-        let g = grid(6, 6, 4);
-        let cfg = KrylovConfig::default()
-            .with_operator(KrylovOperator::Laplacian)
-            .with_dim(10);
-        let emb = KrylovEmbedder::build(&g, &cfg).unwrap();
-        assert!(emb.distance2(0.into(), 35.into()) > 0.0);
     }
 
     #[test]

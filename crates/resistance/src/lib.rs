@@ -3,20 +3,16 @@
 //! The effective resistance `R(p, q) = b_pq^T L⁺ b_pq` between two nodes of
 //! a weighted graph is the quantity every spectral sparsifier in the GRASS
 //! family ranks edges by (spectral distortion of an edge = `w · R`). This
-//! crate offers three estimators behind one trait:
+//! crate offers two estimators behind one trait:
 //!
-//! * [`KrylovEmbedder`] — the paper's setup-phase scheme (eq. (3)): build an
-//!   `m`-dimensional Krylov subspace of the adjacency (or Laplacian)
+//! * [`KrylovEmbedder`] — the paper's setup-phase scheme (eq. (3)): smooth
+//!   an `m`-dimensional block of random probes with the damped random-walk
 //!   operator, orthonormalise it, and use Rayleigh-quotient-scaled
 //!   approximate eigenvectors as node coordinates. Nearly-linear time, no
 //!   solves; accuracy suited for *ranking* edges, not for sharp values.
-//! * [`JlEmbedder`] — Spielman–Srivastava random projection: solve
-//!   `L y_i = B^T W^{1/2} z_i` for `k = O(log n)` random `±1` edge vectors
-//!   `z_i` with tree-preconditioned CG; distances in the embedding
-//!   approximate resistances to `1 ± ε`. Higher accuracy, costs solves.
 //! * [`ExactResistance`] — ground truth: dense pseudo-inverse for small
 //!   graphs, or one CG solve per query for medium graphs. Used in tests and
-//!   in the ablation benches.
+//!   benches.
 //!
 //! # Example
 //!
@@ -40,15 +36,11 @@
 
 mod embedding;
 mod exact;
-mod jl;
 mod krylov;
 
 pub use embedding::NodeEmbedding;
 pub use exact::ExactResistance;
-pub use jl::{JlConfig, JlEmbedder};
-pub use krylov::{
-    krylov_edge_resistances, krylov_resistance, KrylovConfig, KrylovEmbedder, KrylovOperator,
-};
+pub use krylov::{KrylovConfig, KrylovEmbedder};
 
 use ingrass_graph::{Graph, NodeId};
 

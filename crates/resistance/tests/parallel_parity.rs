@@ -1,13 +1,11 @@
-//! Parallel execution must be invisible: every estimator's output is
+//! Parallel execution must be invisible: the Krylov embedding's output is
 //! bit-for-bit identical at any thread count. These suites pin that contract
 //! on random suite-style graphs — any scheduling- or reduction-order leak in
-//! `ingrass-par` or the estimators shows up here as a bitwise mismatch.
+//! `ingrass-par` or the estimator shows up here as a bitwise mismatch.
 
 use ingrass_gen::{grid_2d, WeightModel};
 use ingrass_graph::Graph;
-use ingrass_resistance::{
-    JlConfig, JlEmbedder, KrylovConfig, KrylovEmbedder, NodeEmbedding, ResistanceEstimator,
-};
+use ingrass_resistance::{KrylovConfig, KrylovEmbedder, NodeEmbedding, ResistanceEstimator};
 use proptest::prelude::*;
 
 /// A connected random-weight grid in the size band the suite generators
@@ -46,31 +44,6 @@ proptest! {
                 "krylov diverged at {} threads",
                 threads
             );
-        }
-    }
-
-    /// Same contract for the JL embedder (per-probe derived seeds + batched
-    /// CG solves).
-    #[test]
-    fn prop_jl_edge_resistances_parallel_parity(
-        seed in 0u64..1000,
-        side in 4usize..9,
-    ) {
-        let g = random_suite_graph(side, seed);
-        let serial = JlEmbedder::build(
-            &g,
-            &JlConfig::default().with_dim(12).with_seed(seed).with_threads(1),
-        )
-        .unwrap()
-        .edge_resistances(&g);
-        for threads in [2usize, 4, 8] {
-            let parallel = JlEmbedder::build(
-                &g,
-                &JlConfig::default().with_dim(12).with_seed(seed).with_threads(threads),
-            )
-            .unwrap()
-            .edge_resistances(&g);
-            prop_assert_eq!(&parallel, &serial, "jl diverged at {} threads", threads);
         }
     }
 }

@@ -244,10 +244,9 @@ impl std::fmt::Debug for ConcurrentSolveService {
 }
 
 impl ConcurrentSolveService {
-    /// A service with the given configuration. The
-    /// [`SolveConfig::strategy`] field is ignored — the preconditioner is
-    /// always the snapshot's own factor; `cg` and `threads` apply as in
-    /// [`crate::SolveService`].
+    /// A service with the given configuration. `cg` and `threads` apply
+    /// as in [`crate::SolveService`]; the preconditioner is the snapshot's
+    /// own factor.
     pub fn new(cfg: SolveConfig) -> Self {
         ConcurrentSolveService {
             cfg,

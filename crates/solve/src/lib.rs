@@ -5,9 +5,7 @@
 //! condition number `κ(L_G, L_H)` against the evolving original graph `G`.
 //! This crate closes the loop: it serves **batched multi-RHS PCG solves on
 //! the original Laplacian**, preconditioned by the exact factor of `L_H`
-//! that every published [`ingrass::SparsifierSnapshot`] carries (Jacobi
-//! and spanning-tree preconditioners of the snapshot's sparsifier are
-//! available for comparison).
+//! that every published [`ingrass::SparsifierSnapshot`] carries.
 //!
 //! Since the factor is exact for `L_H`, preconditioned CG on `L_G`
 //! converges in `O(√κ(L_H⁻¹L_G))` iterations — the very quantity the
@@ -61,8 +59,7 @@ mod service;
 
 pub use concurrent::{ConcurrentSolveService, ConcurrentSolveStats, DrainReport, Served, Ticket};
 pub use service::{
-    unpreconditioned_cg, PrecondStrategy, SolveConfig, SolveError, SolveReport, SolveService,
-    SolveStats,
+    unpreconditioned_cg, SolveConfig, SolveError, SolveReport, SolveService, SolveStats,
 };
 
 /// Crate-wide result alias.

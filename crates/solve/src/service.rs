@@ -2,27 +2,8 @@
 //! preconditioned by a published sparsifier snapshot.
 
 use ingrass::{PhaseTimer, SparsifierSnapshot};
-use ingrass_graph::{kruskal_tree, TreeObjective, TreePrecond};
-use ingrass_linalg::{CgOptions, CgResult, CsrMatrix, JacobiPrecond, Preconditioner};
+use ingrass_linalg::{CgOptions, CgResult, CsrMatrix};
 use std::fmt;
-
-/// Which preconditioner [`SolveService`] runs PCG with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrecondStrategy {
-    /// The snapshot's own exact factor of `L_H`
-    /// ([`SparsifierSnapshot::preconditioner`]) — the strongest
-    /// preconditioner this crate offers, and free per call: the publish
-    /// that produced the snapshot already paid for it.
-    #[default]
-    Cholesky,
-    /// Diagonal of the snapshot's `L_H` (weighted sparsifier degrees),
-    /// built per call. Weakest preconditioner.
-    Jacobi,
-    /// Exact `O(n)` solver of a max-weight spanning tree of the snapshot's
-    /// sparsifier (the classic support-graph preconditioner), built per
-    /// call.
-    Tree,
-}
 
 /// Errors of the solve service.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,9 +30,6 @@ pub enum SolveError {
         /// That entry's value.
         value: f64,
     },
-    /// Building a per-call preconditioner ([`PrecondStrategy::Tree`])
-    /// failed.
-    Precondition(String),
     /// The admission queue is at its [`SolveConfig::max_pending`] cap;
     /// the request was rejected without being queued.
     QueueFull {
@@ -75,7 +53,6 @@ impl fmt::Display for SolveError {
                 f,
                 "right-hand side {rhs} has non-finite entry {value} at index {index}"
             ),
-            SolveError::Precondition(msg) => write!(f, "preconditioner build failed: {msg}"),
             SolveError::QueueFull { max_pending } => {
                 write!(f, "admission queue full ({max_pending} pending)")
             }
@@ -97,8 +74,6 @@ impl From<SolveError> for ingrass::IngrassError {
 /// Configuration of a [`SolveService`].
 #[derive(Debug, Clone)]
 pub struct SolveConfig {
-    /// Preconditioner strategy (default [`PrecondStrategy::Cholesky`]).
-    pub strategy: PrecondStrategy,
     /// PCG options; the default targets `1e-8` relative residual with a
     /// 20 000-iteration budget (looser than [`CgOptions::default`] — solve
     /// traffic wants throughput, estimators want the last digits).
@@ -117,7 +92,6 @@ pub struct SolveConfig {
 impl Default for SolveConfig {
     fn default() -> Self {
         SolveConfig {
-            strategy: PrecondStrategy::default(),
             cg: CgOptions::default()
                 .with_rel_tol(1e-8)
                 .with_max_iters(20_000),
@@ -143,11 +117,10 @@ pub struct SolveStats {
 pub struct SolveReport {
     /// Epoch of the snapshot the batch was answered against.
     pub epoch: u64,
-    /// Stored entries of the snapshot's factor under
-    /// [`PrecondStrategy::Cholesky`] (0 for Jacobi/tree).
+    /// Stored entries of the snapshot's factor, the preconditioner the
+    /// batch ran with.
     pub factor_nnz: usize,
-    /// Seconds spent in PCG for the whole batch, including building a
-    /// Jacobi/tree preconditioner.
+    /// Seconds spent in PCG for the whole batch.
     pub solve_seconds: f64,
     /// Per-right-hand-side PCG outcomes, in batch order.
     pub results: Vec<CgResult>,
@@ -214,8 +187,9 @@ impl SolveService {
     }
 
     /// Solves `L_G xᵢ = bᵢ` for a batch of right-hand sides with PCG,
-    /// preconditioned by `snapshot`'s sparsifier per
-    /// [`SolveConfig::strategy`].
+    /// preconditioned by `snapshot`'s own exact factor of its sparsifier
+    /// ([`SparsifierSnapshot::preconditioner`]) — free per call: the
+    /// publish that produced the snapshot already paid for it.
     ///
     /// `laplacian` is the original graph's Laplacian *as of the state the
     /// caller wants answered* — typically the graph matching the
@@ -231,8 +205,7 @@ impl SolveService {
     /// # Errors
     /// [`SolveError::Dimension`] on operand/snapshot shape mismatch;
     /// [`SolveError::NonFinite`] if a right-hand side holds a NaN or
-    /// infinite entry; [`SolveError::Precondition`] if the spanning tree
-    /// of [`PrecondStrategy::Tree`] cannot be built.
+    /// infinite entry.
     pub fn solve_batch(
         &mut self,
         snapshot: &SparsifierSnapshot,
@@ -242,24 +215,7 @@ impl SolveService {
         let n = snapshot.num_nodes();
         check_operands(n, laplacian, rhss)?;
         let timer = PhaseTimer::start();
-        let jacobi;
-        let tree;
-        let (precond, factor_nnz): (&(dyn Preconditioner + Sync), usize) = match self.cfg.strategy {
-            PrecondStrategy::Cholesky => {
-                let p = snapshot.preconditioner();
-                (p, p.factor_nnz())
-            }
-            PrecondStrategy::Jacobi => {
-                jacobi = JacobiPrecond::from_matrix(snapshot.laplacian());
-                (&jacobi, 0)
-            }
-            PrecondStrategy::Tree => {
-                let t = kruskal_tree(snapshot.graph(), TreeObjective::MaxWeight)
-                    .map_err(|e| SolveError::Precondition(e.to_string()))?;
-                tree = TreePrecond::new(&t.tree);
-                (&tree, 0)
-            }
-        };
+        let precond = snapshot.preconditioner();
         let projected: Vec<Vec<f64>> = rhss.iter().map(|b| project(b)).collect();
         let ones = vec![1.0; n];
         let threads = self.cfg.threads.unwrap_or_else(ingrass_par::num_threads);
@@ -279,7 +235,7 @@ impl SolveService {
         self.stats.iterations_total += results.iter().map(|r| r.iterations).sum::<usize>();
         let report = SolveReport {
             epoch: snapshot.epoch(),
-            factor_nnz,
+            factor_nnz: precond.factor_nnz(),
             solve_seconds,
             results,
         };
@@ -438,25 +394,6 @@ mod tests {
             x_a, x_b,
             "the two sparsifiers must precondition differently"
         );
-    }
-
-    #[test]
-    fn strategies_all_converge() {
-        let (g, snap) = fixture(8, 6);
-        let l = g.laplacian();
-        let n = g.num_nodes();
-        for strategy in [
-            PrecondStrategy::Cholesky,
-            PrecondStrategy::Jacobi,
-            PrecondStrategy::Tree,
-        ] {
-            let mut svc = SolveService::new(SolveConfig {
-                strategy,
-                ..Default::default()
-            });
-            let (_, r) = svc.solve(&snap, &l, &pair_rhs(n, 0, n / 2)).unwrap();
-            assert!(r.all_converged(), "{strategy:?} failed: {r:?}");
-        }
     }
 
     #[test]

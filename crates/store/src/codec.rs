@@ -10,11 +10,10 @@
 //! [snapshot](crate::snapshot) containers around it.
 
 use ingrass::state::{
-    ConnectivityState, EngineState, LedgerState, LrdLevelState, PrecondState, ServingState,
-    ShardedState,
+    ConnectivityState, EngineState, LedgerState, PrecondState, ServingState, ShardedState,
 };
 use ingrass::{
-    DriftPolicy, FactorPolicy, ResistanceBackend, SetupConfig, SetupReport, UpdateConfig, UpdateOp,
+    DriftPolicy, FactorPolicy, LrdLevel, SetupConfig, SetupReport, UpdateConfig, UpdateOp,
 };
 use ingrass_linalg::CholeskyState;
 use std::time::Duration;
@@ -330,33 +329,24 @@ fn get_update_config(d: &mut Decoder) -> Result<UpdateConfig> {
 // Setup configuration (retained inside the engine state).
 // ---------------------------------------------------------------------------
 
+/// Writes the estimator block that leads every persisted setup config:
+/// the smoothed Krylov embedding (tag 0) at its default dimension (`None`),
+/// smoothed-operator tag 0 with `ω = 0.7` and 8 sweeps, embedder seed 42,
+/// threads `None` — 28 bytes. The engine runs this one estimator, so the
+/// block is fixed; it stays in the layout so every store of schema
+/// version 1 keeps opening.
+fn put_estimator(e: &mut Encoder) {
+    e.u8(0);
+    e.opt_usize(None);
+    e.u8(0);
+    e.f64(0.7);
+    e.usize(8);
+    e.u64(42);
+    e.opt_usize(None);
+}
+
 fn put_setup_config(e: &mut Encoder, cfg: &SetupConfig) {
-    match &cfg.resistance {
-        ResistanceBackend::Krylov(k) => {
-            e.u8(0);
-            e.opt_usize(k.dim);
-            match k.operator {
-                ingrass::config::KrylovOperator::SmoothedAdjacency { omega, steps } => {
-                    e.u8(0);
-                    e.f64(omega);
-                    e.usize(steps);
-                }
-                ingrass::config::KrylovOperator::Adjacency => e.u8(1),
-                ingrass::config::KrylovOperator::Laplacian => e.u8(2),
-            }
-            e.u64(k.seed);
-            e.opt_usize(k.threads);
-        }
-        ResistanceBackend::Jl(j) => {
-            e.u8(1);
-            e.opt_usize(j.dim);
-            e.f64(j.cg_tol);
-            e.usize(j.cg_max_iters);
-            e.u64(j.seed);
-            e.opt_usize(j.threads);
-        }
-        ResistanceBackend::LocalOnly => e.u8(2),
-    }
+    put_estimator(e);
     e.f64(cfg.diameter_growth);
     e.opt_f64(cfg.initial_diameter);
     e.usize(cfg.max_levels);
@@ -368,37 +358,15 @@ fn put_setup_config(e: &mut Encoder, cfg: &SetupConfig) {
 }
 
 fn get_setup_config(d: &mut Decoder) -> Result<SetupConfig> {
-    let resistance = match d.u8()? {
-        0 => {
-            let dim = d.opt_usize()?;
-            let operator = match d.u8()? {
-                0 => ingrass::config::KrylovOperator::SmoothedAdjacency {
-                    omega: d.f64()?,
-                    steps: d.usize()?,
-                },
-                1 => ingrass::config::KrylovOperator::Adjacency,
-                2 => ingrass::config::KrylovOperator::Laplacian,
-                t => return Err(CodecError(format!("bad Krylov operator tag {t}"))),
-            };
-            ResistanceBackend::Krylov(ingrass::config::KrylovConfig {
-                dim,
-                operator,
-                seed: d.u64()?,
-                threads: d.opt_usize()?,
-            })
-        }
-        1 => ResistanceBackend::Jl(ingrass::config::JlConfig {
-            dim: d.opt_usize()?,
-            cg_tol: d.f64()?,
-            cg_max_iters: d.usize()?,
-            seed: d.u64()?,
-            threads: d.opt_usize()?,
-        }),
-        2 => ResistanceBackend::LocalOnly,
-        t => return Err(CodecError(format!("bad resistance backend tag {t}"))),
-    };
+    let mut expected = Encoder::new();
+    put_estimator(&mut expected);
+    let expected = expected.finish();
+    if d.take(expected.len())? != expected.as_slice() {
+        return Err(CodecError(
+            "setup config names an estimator other than the smoothed Krylov embedding".into(),
+        ));
+    }
     Ok(SetupConfig {
-        resistance,
         diameter_growth: d.f64()?,
         initial_diameter: d.opt_f64()?,
         max_levels: d.usize()?,
@@ -545,7 +513,7 @@ fn get_ledger(d: &mut Decoder) -> Result<LedgerState> {
     })
 }
 
-fn put_levels(e: &mut Encoder, levels: &[LrdLevelState]) {
+fn put_levels(e: &mut Encoder, levels: &[LrdLevel]) {
     e.usize(levels.len());
     for lvl in levels {
         e.vec_u32(&lvl.cluster_of);
@@ -556,11 +524,11 @@ fn put_levels(e: &mut Encoder, levels: &[LrdLevelState]) {
     }
 }
 
-fn get_levels(d: &mut Decoder) -> Result<Vec<LrdLevelState>> {
+fn get_levels(d: &mut Decoder) -> Result<Vec<LrdLevel>> {
     let n = d.len(8)?;
     (0..n)
         .map(|_| {
-            Ok(LrdLevelState {
+            Ok(LrdLevel {
                 cluster_of: d.vec_u32()?,
                 diameter: d.vec_f64()?,
                 size: d.vec_u32()?,
@@ -854,6 +822,92 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(decode_batch(&padded).is_err(), "trailing byte accepted");
+    }
+
+    fn encoded(write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+        let mut e = Encoder::new();
+        write(&mut e);
+        e.finish()
+    }
+
+    #[test]
+    fn setup_config_leads_with_the_fixed_estimator_block() {
+        let cfg = SetupConfig::default().with_seed(7);
+        let bytes = encoded(|e| put_setup_config(e, &cfg));
+        // The block every store of schema version 1 carries.
+        let block = encoded(|e| {
+            e.u8(0); // Krylov
+            e.opt_usize(None); // default dimension
+            e.u8(0); // smoothed adjacency operator
+            e.f64(0.7); // ω
+            e.usize(8); // sweeps
+            e.u64(42); // embedder seed
+            e.opt_usize(None); // ambient threads
+        });
+        assert_eq!(block.len(), 28);
+        assert_eq!(&bytes[..28], block.as_slice());
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(get_setup_config(&mut d).unwrap(), cfg);
+        d.finish().unwrap();
+    }
+
+    #[test]
+    fn setup_configs_naming_another_estimator_are_refused() {
+        let tail = encoded(|e| put_setup_config(e, &SetupConfig::default()))[28..].to_vec();
+        let blocks = [
+            (
+                "JL",
+                encoded(|e| {
+                    e.u8(1);
+                    e.opt_usize(None);
+                    e.f64(1e-8);
+                    e.usize(3000);
+                    e.u64(1234);
+                    e.opt_usize(None);
+                }),
+            ),
+            ("local-only", encoded(|e| e.u8(2))),
+            (
+                "adjacency operator",
+                encoded(|e| {
+                    e.u8(0);
+                    e.opt_usize(None);
+                    e.u8(1);
+                    e.u64(42);
+                    e.opt_usize(None);
+                }),
+            ),
+            (
+                "Laplacian operator",
+                encoded(|e| {
+                    e.u8(0);
+                    e.opt_usize(None);
+                    e.u8(2);
+                    e.u64(42);
+                    e.opt_usize(None);
+                }),
+            ),
+            (
+                "dimension override",
+                encoded(|e| {
+                    e.u8(0);
+                    e.opt_usize(Some(12));
+                    e.u8(0);
+                    e.f64(0.7);
+                    e.usize(8);
+                    e.u64(42);
+                    e.opt_usize(None);
+                }),
+            ),
+        ];
+        for (name, mut bytes) in blocks {
+            bytes.extend_from_slice(&tail);
+            let mut d = Decoder::new(&bytes);
+            assert!(
+                get_setup_config(&mut d).is_err(),
+                "a setup config naming the {name} was decoded"
+            );
+        }
     }
 
     #[test]

@@ -92,13 +92,6 @@ impl StorePolicy {
         self.snapshot_every = batches;
         self
     }
-
-    /// Returns the policy with [`StorePolicy::compact_on_snapshot`]
-    /// replaced.
-    pub fn with_compact_on_snapshot(mut self, compact: bool) -> Self {
-        self.compact_on_snapshot = compact;
-        self
-    }
 }
 
 /// What [`PersistentEngine::open`] did to get back to the pre-crash

@@ -21,10 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     edges.push((9, 10, 0.5)); // B—C bridge
     let h0 = Graph::from_edges(15, &edges)?;
 
-    let mut engine = InGrassEngine::setup(
-        &h0,
-        &SetupConfig::default().with_resistance(ResistanceBackend::LocalOnly),
-    )?;
+    let mut engine = InGrassEngine::setup(&h0, &SetupConfig::default())?;
 
     // Pick a target condition number whose filtering level groups each
     // community into one cluster (max cluster size 5 ⇒ C = 10 works).
@@ -43,19 +40,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  node {u:>2} → cluster {}", lvl.cluster_of[u]);
     }
 
-    // The three arrivals of Fig. 3:
+    // The three arrivals of Fig. 3 and the outcome the paper shows for each:
     let candidates = [
-        (3, 6, 1.0, "A↔B again — an A–B edge already exists"),
-        (6, 8, 1.0, "inside B — endpoints share a cluster"),
+        (
+            3,
+            6,
+            1.0,
+            EdgeOutcome::Merged,
+            "A↔B again — an A–B edge already exists",
+        ),
+        (
+            6,
+            8,
+            1.0,
+            EdgeOutcome::Redistributed,
+            "inside B — endpoints share a cluster",
+        ),
         (
             2,
             12,
             1.0,
+            EdgeOutcome::Included,
             "A↔C — no sparsifier edge between those clusters",
         ),
     ];
+    let edges_before = engine.sparsifier().num_edges();
     println!("\nprocessing three new edges (distortion-ranked):");
-    for (u, v, w, why) in candidates {
+    for (u, v, w, expected, why) in candidates {
         let distortion = engine.estimate_distortion(u.into(), v.into(), w);
         let before_edges = engine.sparsifier().num_edges();
         let before_weight = engine.sparsifier().total_weight();
@@ -75,7 +86,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             before_weight,
             engine.sparsifier().total_weight()
         );
+        assert_eq!(outcome, expected, "({u},{v}): {why}");
     }
+    assert_eq!(engine.sparsifier().num_edges(), edges_before + 1);
 
     println!(
         "\nresult: sparsifier gained exactly one edge; the other two arrivals \

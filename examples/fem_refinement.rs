@@ -23,15 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cond_opts = ConditionOptions::default();
     let kappa0 = estimate_condition_number(&g0, &h0.graph, &cond_opts)?.kappa;
 
-    // Setup with the sharper JL resistance backend — FE meshes have strong
-    // weight gradients where the Krylov estimate is coarsest.
     let t = Instant::now();
-    let mut engine = InGrassEngine::setup(
-        &h0.graph,
-        &SetupConfig::default().with_resistance(ResistanceBackend::Jl(JlConfig::default())),
-    )?;
+    let mut engine = InGrassEngine::setup(&h0.graph, &SetupConfig::default())?;
     println!(
-        "setup (JL backend): {} levels in {:.0} ms; initial κ = {kappa0:.1}",
+        "setup: {} levels in {:.0} ms; initial κ = {kappa0:.1}",
         engine.setup_report().levels,
         t.elapsed().as_secs_f64() * 1e3
     );

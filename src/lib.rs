@@ -11,7 +11,7 @@
 //! | [`core`] | `ingrass` | the paper's contribution: LRD decomposition, multilevel embedding, incremental engine |
 //! | [`graph`] | `ingrass-graph` | graphs, spanning trees, LCA, tree solvers, contraction |
 //! | [`linalg`] | `ingrass-linalg` | CSR/dense matrices, CG/PCG, (pencil) Lanczos |
-//! | [`resistance`] | `ingrass-resistance` | Krylov / JL / exact effective-resistance estimators |
+//! | [`resistance`] | `ingrass-resistance` | Krylov and exact effective-resistance estimators |
 //! | [`gen`] | `ingrass-gen` | workload generators + the paper's benchmark suite |
 //! | [`baselines`] | `ingrass-baselines` | GRASS-style from-scratch sparsifier, Random baseline |
 //! | [`metrics`] | `ingrass-metrics` | relative condition number, density, distortion stats |
@@ -67,11 +67,8 @@ pub use ingrass_store as store;
 /// `use ingrass_repro::config::*;` and reach every configuration type
 /// without memorising which crate owns it.
 pub mod config {
-    pub use ingrass::config::{
-        DriftPolicy, FactorPolicy, JlConfig, KrylovConfig, KrylovOperator, ResistanceBackend,
-        SetupConfig, UpdateConfig,
-    };
-    pub use ingrass_solve::{PrecondStrategy, SolveConfig};
+    pub use ingrass::config::{DriftPolicy, FactorPolicy, SetupConfig, UpdateConfig};
+    pub use ingrass_solve::SolveConfig;
     pub use ingrass_store::StorePolicy;
 }
 
@@ -80,8 +77,8 @@ pub mod prelude {
     pub use crate::churn_to_update_ops;
     pub use ingrass::{
         DriftPolicy, FactorPolicy, InGrassEngine, InGrassError, IngrassError, LrdHierarchy,
-        ResistanceBackend, SetupConfig, ShardedBatchReport, ShardedConfig, ShardedEngine,
-        SnapshotEngine, SnapshotReader, SparsifierSnapshot, UpdateConfig, UpdateLedger, UpdateOp,
+        SetupConfig, ShardedBatchReport, ShardedConfig, ShardedEngine, SnapshotEngine,
+        SnapshotReader, SparsifierSnapshot, UpdateConfig, UpdateLedger, UpdateOp,
     };
     pub use ingrass_baselines::{GrassConfig, GrassSparsifier, RandomSparsifier, TreeKind};
     pub use ingrass_gen::{
@@ -95,11 +92,9 @@ pub mod prelude {
         estimate_condition_number, ConditionOptions, ConditionTrajectory, SparsifierDensity,
     };
     pub use ingrass_resistance::{
-        ExactResistance, JlConfig, JlEmbedder, KrylovConfig, KrylovEmbedder, ResistanceEstimator,
+        ExactResistance, KrylovConfig, KrylovEmbedder, ResistanceEstimator,
     };
-    pub use ingrass_solve::{
-        ConcurrentSolveService, PrecondStrategy, SolveConfig, SolveReport, SolveService,
-    };
+    pub use ingrass_solve::{ConcurrentSolveService, SolveConfig, SolveReport, SolveService};
     pub use ingrass_store::{PersistentEngine, RecoveryReport, StoreError, StorePolicy};
 }
 

@@ -1,17 +1,14 @@
-//! Oracle suite: the JL and Krylov effective-resistance estimators against
-//! exact dense-pseudoinverse values on graphs of ≤ 200 nodes.
+//! Oracle suite: the Krylov effective-resistance estimator against exact
+//! dense-pseudoinverse values on graphs of ≤ 200 nodes, and the exact
+//! oracle against closed forms and its own CG backend.
 //!
-//! Each estimator is held to the contract it actually provides:
-//!
-//! * **JL** (Spielman–Srivastava projections + solves) estimates
-//!   *absolute* resistances to `1 ± ε` — pinned as per-edge relative error
-//!   against `ExactResistance::dense`.
-//! * **Krylov** (the paper's solve-free scheme) is a *ranking* estimator:
-//!   its raw values carry a large systematic scale-off, but after one
-//!   robust rescaling the node-pair resistances track the exact ones, and
-//!   their ordering (near pairs vs far pairs) is what the LRD
-//!   decomposition consumes — pinned as scale-corrected relative error
-//!   plus Spearman rank correlation over sampled pairs.
+//! The Krylov embedding (the paper's solve-free scheme) is held to the
+//! contract it actually provides: it is a *ranking* estimator. Its raw
+//! values carry a large systematic scale-off, but after one robust
+//! rescaling the node-pair resistances track the exact ones, and their
+//! ordering (near pairs vs far pairs) is what the LRD decomposition
+//! consumes — pinned as scale-corrected relative error plus Spearman rank
+//! correlation over sampled pairs.
 //!
 //! Tolerances carry ≈ 1.5–2× headroom over the worst observation across
 //! seeds 42 / 7 / 1337 (`INGRASS_TEST_SEED` varies them in CI), so an
@@ -118,44 +115,6 @@ fn sample_pairs(n: usize, seed: u64, count: usize) -> Vec<(usize, usize)> {
         }
     }
     out
-}
-
-#[test]
-fn jl_edge_resistances_match_exact_within_tolerance() {
-    let seed = test_seed();
-    for (name, g, _) in fixtures(seed) {
-        assert!(g.num_nodes() <= 200, "{name} exceeds the oracle size cap");
-        let exact = ExactResistance::dense(&g).expect("dense pseudoinverse");
-        let truth = exact.edge_resistances(&g);
-        let jl = JlEmbedder::build(&g, &JlConfig::default().with_seed(seed)).expect("jl build");
-        let est = jl.edge_resistances(&g);
-        let errs: Vec<f64> = est
-            .iter()
-            .zip(&truth)
-            .map(|(a, b)| (a - b).abs() / b)
-            .collect();
-        let (med, mx) = (median(errs.clone()), max(&errs));
-        // Observed across seeds 42/7/1337: med ≤ 0.16, max ≤ 0.90.
-        assert!(
-            med < 0.30,
-            "{name}: JL median relative error {med:.3} ≥ 0.30"
-        );
-        assert!(mx < 1.20, "{name}: JL max relative error {mx:.3} ≥ 1.20");
-    }
-}
-
-#[test]
-fn jl_estimates_are_positive_and_finite() {
-    let seed = test_seed();
-    for (name, g, _) in fixtures(seed) {
-        let jl = JlEmbedder::build(&g, &JlConfig::default().with_seed(seed)).expect("jl build");
-        for (i, r) in jl.edge_resistances(&g).iter().enumerate() {
-            assert!(
-                r.is_finite() && *r > 0.0,
-                "{name} edge {i}: JL estimate {r}"
-            );
-        }
-    }
 }
 
 #[test]

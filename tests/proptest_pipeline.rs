@@ -64,9 +64,9 @@ proptest! {
             "density 0.5 gave λmax {k_dense} vs {k_sparse} at 0.05");
     }
 
-    /// The LRD resistance bound from the engine is symmetric, positive for
-    /// distinct nodes, and an upper bound of the exact resistance when the
-    /// setup uses exact edge-level inputs (JL backend, high dim).
+    /// The LRD resistance bound from the engine is symmetric, positive and
+    /// finite for distinct nodes, and the distortion estimate built on it
+    /// is linear in the edge weight.
     #[test]
     fn resistance_bounds_are_sane(seed in 0u64..200, u in 0usize..64, v in 0usize..64) {
         prop_assume!(u != v);

@@ -4,7 +4,8 @@
 //! unpreconditioned CG, and a held snapshot must keep serving while its
 //! engine mutates.
 
-use ingrass_repro::linalg::CsrMatrix;
+use ingrass_repro::graph::{kruskal_tree, TreeObjective, TreePrecond};
+use ingrass_repro::linalg::{pcg, CsrMatrix, JacobiPrecond, Preconditioner};
 use ingrass_repro::prelude::*;
 use ingrass_repro::solve::unpreconditioned_cg;
 use ingrass_repro::test_seed;
@@ -72,11 +73,12 @@ fn preconditioned_pcg_needs_at_most_a_third_of_cg_iterations() {
 }
 
 #[test]
-fn jacobi_and_tree_fallback_strategies_converge() {
-    // The per-call strategies read the snapshot's sparsifier graph and
-    // Laplacian; they must converge on a real bench case for a mono
-    // snapshot and for a sharded engine's stitched one. The snapshot's
-    // exact factor stays the strongest of the three.
+fn snapshot_factor_needs_no_more_iterations_than_jacobi_or_tree_pcg() {
+    // The service always preconditions with the snapshot's exact factor.
+    // On a real bench case, for a mono snapshot and for a sharded engine's
+    // stitched one, plain PCG under a Jacobi or a max-weight spanning-tree
+    // preconditioner of the same sparsifier must converge too, and take at
+    // least as many iterations as the service.
     let seed = test_seed();
     let (g, l_g, h0) = solve_fixture(TestCase::Fe4elt2, seed);
     let n = g.num_nodes();
@@ -87,39 +89,45 @@ fn jacobi_and_tree_fallback_strategies_converge() {
         &ShardedConfig::default(),
     )
     .expect("sharded setup");
+    let opts = SolveConfig::default().cg;
+    let ones = vec![1.0; n];
 
     for (label, snap) in [
         ("mono", setup(&h0, seed).snapshot()),
         ("sharded", sharded.snapshot()),
     ] {
-        let mut iterations = Vec::new();
-        for strategy in [
-            PrecondStrategy::Cholesky,
-            PrecondStrategy::Jacobi,
-            PrecondStrategy::Tree,
-        ] {
-            let mut svc = SolveService::new(SolveConfig {
-                strategy,
-                ..Default::default()
-            });
-            let (_, report) = svc.solve_batch(&snap, &l_g, &rhss).expect("batch");
-            assert!(
-                report.all_converged(),
-                "{label} {strategy:?} failed to converge: {:?}",
-                report.results
-            );
-            if strategy == PrecondStrategy::Cholesky {
-                assert!(report.factor_nnz > 0, "cholesky must report factor fill");
-            } else {
-                assert_eq!(report.factor_nnz, 0, "{strategy:?} carries no factor");
-            }
-            iterations.push(report.total_iterations());
-        }
-        // The exact factor dominates both per-call preconditioners.
+        let mut svc = SolveService::new(SolveConfig::default());
+        let (_, report) = svc.solve_batch(&snap, &l_g, &rhss).expect("batch");
         assert!(
-            iterations[0] <= iterations[1] && iterations[0] <= iterations[2],
-            "{label}: cholesky/jacobi/tree iterations {iterations:?}"
+            report.all_converged(),
+            "{label} service failed to converge: {:?}",
+            report.results
         );
+        assert_eq!(report.factor_nnz, snap.preconditioner().factor_nnz());
+
+        let jacobi = JacobiPrecond::from_matrix(snap.laplacian());
+        let tree = kruskal_tree(snap.graph(), TreeObjective::MaxWeight).expect("spanning tree");
+        let tree = TreePrecond::new(&tree.tree);
+        let fallbacks: [(&str, &dyn Preconditioner); 2] = [("jacobi", &jacobi), ("tree", &tree)];
+        for (name, precond) in fallbacks {
+            let mut iterations = 0;
+            for b in &rhss {
+                // Pair injections sum to zero, so they are already the
+                // projected right-hand sides the service solves.
+                let mut x = vec![0.0; n];
+                let res = pcg(&l_g, b, &mut x, precond, Some(&ones), &opts);
+                assert!(
+                    res.converged,
+                    "{label} {name} PCG failed to converge: {res:?}"
+                );
+                iterations += res.iterations;
+            }
+            assert!(
+                report.total_iterations() <= iterations,
+                "{label}: service {} iterations vs {name} {iterations}",
+                report.total_iterations()
+            );
+        }
     }
 }
 
