@@ -66,7 +66,8 @@ pub struct SetupConfig {
     pub diameter_growth: f64,
     /// Initial diameter budget `δ₀`. `None` (default) picks 4× the median
     /// estimated edge resistance — small enough that level 1 only merges
-    /// tightly coupled nodes.
+    /// tightly coupled nodes. A set budget must be finite and positive;
+    /// setup rejects any other with [`crate::InGrassError::InvalidConfig`].
     pub initial_diameter: Option<f64>,
     /// Hard cap on the number of LRD levels (default 64 — effectively
     /// "until one cluster remains").

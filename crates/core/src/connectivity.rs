@@ -2,7 +2,7 @@
 //! III-B-3): for every LRD level, which sparsifier edge connects each
 //! cluster pair, and which edges live inside each cluster.
 
-use crate::lrd::LrdHierarchy;
+use crate::lrd::{LrdHierarchy, LrdLevel};
 use ingrass_graph::{DynGraph, EdgeId, NodeId};
 use std::collections::HashMap;
 
@@ -38,17 +38,25 @@ pub struct ClusterConnectivity {
 
 impl ClusterConnectivity {
     /// Indexes every live edge of `h` against `hierarchy`.
+    ///
+    /// Levels share nothing, so each is indexed by one worker, registering
+    /// the edges in `h`'s order as [`ClusterConnectivity::register_edge`]
+    /// does one edge at a time.
     pub fn build(h: &DynGraph, hierarchy: &LrdHierarchy) -> Self {
-        let levels = hierarchy.num_levels();
-        let mut conn = ClusterConnectivity {
-            pair_maps: vec![HashMap::new(); levels],
-            intra_maps: vec![HashMap::new(); levels],
-            intra_dead: vec![HashMap::new(); levels],
-        };
-        for (id, edge) in h.edges_iter() {
-            conn.register_edge(hierarchy, h, id, edge.u, edge.v);
+        let (pair_maps, intra_maps) = ingrass_par::par_map(hierarchy.levels(), |lvl| {
+            let (mut pairs, mut intra) = (HashMap::new(), HashMap::new());
+            for (id, edge) in h.edges_iter() {
+                register_at(lvl, &mut pairs, &mut intra, h, id, edge.u, edge.v);
+            }
+            (pairs, intra)
+        })
+        .into_iter()
+        .unzip();
+        ClusterConnectivity {
+            pair_maps,
+            intra_maps,
+            intra_dead: vec![HashMap::new(); hierarchy.num_levels()],
         }
-        conn
     }
 
     /// Registers a (new) sparsifier edge at every level. A pair entry whose
@@ -62,18 +70,8 @@ impl ClusterConnectivity {
         v: NodeId,
     ) {
         for (level, lvl) in hierarchy.levels().iter().enumerate() {
-            let (mut cu, mut cv) = (lvl.cluster_of[u.index()], lvl.cluster_of[v.index()]);
-            if cu == cv {
-                self.intra_maps[level].entry(cu).or_default().push(id);
-            } else {
-                if cu > cv {
-                    std::mem::swap(&mut cu, &mut cv);
-                }
-                let entry = self.pair_maps[level].entry((cu, cv)).or_insert(id);
-                if h.edge(*entry).is_none() {
-                    *entry = id;
-                }
-            }
+            let (pairs, intra) = (&mut self.pair_maps[level], &mut self.intra_maps[level]);
+            register_at(lvl, pairs, intra, h, id, u, v);
         }
     }
 
@@ -233,6 +231,30 @@ impl ClusterConnectivity {
     }
 }
 
+/// [`ClusterConnectivity::register_edge`] at one level.
+fn register_at(
+    lvl: &LrdLevel,
+    pairs: &mut HashMap<(u32, u32), EdgeId>,
+    intra: &mut HashMap<u32, Vec<EdgeId>>,
+    h: &DynGraph,
+    id: EdgeId,
+    u: NodeId,
+    v: NodeId,
+) {
+    let (mut cu, mut cv) = (lvl.cluster_of[u.index()], lvl.cluster_of[v.index()]);
+    if cu == cv {
+        intra.entry(cu).or_default().push(id);
+    } else {
+        if cu > cv {
+            std::mem::swap(&mut cu, &mut cv);
+        }
+        let entry = pairs.entry((cu, cv)).or_insert(id);
+        if h.edge(*entry).is_none() {
+            *entry = id;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +268,30 @@ mod tests {
         let d = DynGraph::from_graph(g);
         let c = ClusterConnectivity::build(&d, &h);
         (d, h, c)
+    }
+
+    #[test]
+    fn build_matches_registering_each_edge_in_turn() {
+        // The one-edge-at-a-time build the per-level workers replay,
+        // checked on a graph with deleted edges so `h` has dead slots.
+        let g = grid_2d(9, 7, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 4);
+        let (mut d, h, _) = setup(&g);
+        for (u, v) in [(0, 1), (10, 19), (30, 31)] {
+            d.remove_edge(NodeId::new(u), NodeId::new(v));
+        }
+        let levels = h.num_levels();
+        let mut serial = ClusterConnectivity {
+            pair_maps: vec![HashMap::new(); levels],
+            intra_maps: vec![HashMap::new(); levels],
+            intra_dead: vec![HashMap::new(); levels],
+        };
+        for (id, edge) in d.edges_iter() {
+            serial.register_edge(&h, &d, id, edge.u, edge.v);
+        }
+        assert_eq!(
+            ClusterConnectivity::build(&d, &h).export_state(),
+            serial.export_state()
+        );
     }
 
     #[test]

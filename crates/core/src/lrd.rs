@@ -95,14 +95,35 @@ impl LrdHierarchy {
     ///
     /// # Errors
     /// [`InGrassError::BadSparsifier`] for an empty graph;
-    /// [`InGrassError::InvalidConfig`] for a non-finite growth ≤ 1 or
-    /// resistance array of the wrong length.
+    /// [`InGrassError::InvalidConfig`] for a non-finite growth ≤ 1, an
+    /// initial diameter that is not finite and positive, or a resistance
+    /// array of the wrong length.
     pub fn build(
         h0: &Graph,
         edge_resistance: &[f64],
         initial_diameter: Option<f64>,
         growth: f64,
         max_levels: usize,
+    ) -> Result<Self> {
+        Self::build_with(
+            h0,
+            edge_resistance,
+            initial_diameter,
+            growth,
+            max_levels,
+            contract,
+        )
+    }
+
+    /// [`LrdHierarchy::build`] with the contraction of the inter-cluster
+    /// multigraph passed in, so tests can run the one it replays.
+    fn build_with(
+        h0: &Graph,
+        edge_resistance: &[f64],
+        initial_diameter: Option<f64>,
+        growth: f64,
+        max_levels: usize,
+        contract: impl Fn(&[(u32, u32, f64)], &[u32]) -> Vec<(u32, u32, f64)>,
     ) -> Result<Self> {
         let n = h0.num_nodes();
         if n == 0 {
@@ -120,6 +141,15 @@ impl LrdHierarchy {
                 "diameter growth must be a finite number > 1, got {growth}"
             )));
         }
+        // A zero budget merges nothing and never grows; a negative or NaN
+        // one would silently leave only the singleton level.
+        if let Some(d0) = initial_diameter {
+            if !(d0.is_finite() && d0 > 0.0) {
+                return Err(InGrassError::InvalidConfig(format!(
+                    "initial diameter must be a finite number > 0, got {d0}"
+                )));
+            }
+        }
 
         // Clip estimates with the provable per-edge upper bound R ≤ 1/w —
         // any estimate above the edge's own resistance is certainly wrong.
@@ -135,12 +165,7 @@ impl LrdHierarchy {
             }
         }
 
-        let delta0 = initial_diameter.unwrap_or_else(|| {
-            let mut sorted = redge.clone();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            let median = sorted.get(sorted.len() / 2).copied().unwrap_or(1.0);
-            4.0 * median.max(1e-12)
-        });
+        let delta0 = initial_diameter.unwrap_or_else(|| default_diameter(&redge));
 
         // Level 0: singletons.
         let mut levels = vec![LrdLevel {
@@ -210,25 +235,7 @@ impl LrdHierarchy {
                 new_size[nl as usize] += 1;
             }
 
-            // Contract the inter-cluster multigraph, combining parallel
-            // edges in parallel (conductances add).
-            let mut acc: std::collections::HashMap<(u32, u32), f64> =
-                std::collections::HashMap::with_capacity(inter.len());
-            for &(a, b, r) in &inter {
-                let (mut ca, mut cb) = (labels[a as usize], labels[b as usize]);
-                if ca == cb {
-                    continue;
-                }
-                if ca > cb {
-                    std::mem::swap(&mut ca, &mut cb);
-                }
-                *acc.entry((ca, cb)).or_insert(0.0) += 1.0 / r;
-            }
-            inter = acc
-                .into_iter()
-                .map(|((a, b), cond)| (a, b, 1.0 / cond))
-                .collect();
-            inter.sort_unstable_by_key(|x| (x.0, x.1));
+            inter = contract(&inter, &labels);
 
             cluster_of = node_cluster.clone();
             diameter = new_diam.clone();
@@ -319,6 +326,47 @@ impl LrdHierarchy {
         }
         best
     }
+}
+
+/// The default initial budget: 4× the median (the upper one of an even
+/// count) edge resistance, 1 when there are no edges.
+fn default_diameter(redge: &[f64]) -> f64 {
+    let mut r = redge.to_vec();
+    let mid = r.len() / 2;
+    let median = if r.is_empty() {
+        1.0
+    } else {
+        *r.select_nth_unstable_by(mid, |a, b| a.total_cmp(b)).1
+    };
+    4.0 * median.max(1e-12)
+}
+
+/// The inter-cluster multigraph `inter` contracted by `labels`: one edge
+/// per pair of distinct clusters, sorted by the pair, whose resistance
+/// combines the pair's edges in parallel (`1/r = Σ 1/rᵢ`, conductances
+/// added in `inter` order).
+///
+/// A stable sort on the cluster pair keeps each pair's edges in `inter`
+/// order, so every pair's sum is the one a map accumulating in `inter`
+/// order would form.
+fn contract(inter: &[(u32, u32, f64)], labels: &[u32]) -> Vec<(u32, u32, f64)> {
+    let mut pairs: Vec<(u32, u32, f64)> = inter
+        .iter()
+        .filter_map(|&(a, b, r)| {
+            let (ca, cb) = (labels[a as usize], labels[b as usize]);
+            (ca != cb).then(|| (ca.min(cb), ca.max(cb), 1.0 / r))
+        })
+        .collect();
+    pairs.sort_by_key(|&(a, b, _)| (a, b));
+    let mut out: Vec<(u32, u32, f64)> = Vec::with_capacity(pairs.len());
+    let mut rest = &pairs[..];
+    while let Some(&(a, b, _)) = rest.first() {
+        let run = rest.iter().take_while(|p| (p.0, p.1) == (a, b)).count();
+        let cond = rest[..run].iter().fold(0.0, |sum, p| sum + p.2);
+        out.push((a, b, 1.0 / cond));
+        rest = &rest[run..];
+    }
+    out
 }
 
 #[cfg(test)]
@@ -450,6 +498,133 @@ mod tests {
         assert!(LrdHierarchy::build(&g, &r, None, f64::NAN, 64).is_err());
         let empty = Graph::from_edges(0, &[]).unwrap();
         assert!(LrdHierarchy::build(&empty, &[], None, 4.0, 64).is_err());
+    }
+
+    #[test]
+    fn rejects_initial_diameters_that_are_not_finite_and_positive() {
+        let g = grid_2d(4, 4, WeightModel::Unit, 0);
+        let r = vec![1.0; g.num_edges()];
+        // Zero last: a build that mishandles it never returns, so the
+        // other cases get to fail first.
+        for d0 in [f64::NAN, -1.0, f64::INFINITY, 0.0] {
+            let built = LrdHierarchy::build(&g, &r, Some(d0), 4.0, 64);
+            assert!(
+                matches!(built, Err(InGrassError::InvalidConfig(_))),
+                "initial diameter {d0}"
+            );
+        }
+        let cfg = crate::SetupConfig {
+            initial_diameter: Some(0.0),
+            ..Default::default()
+        };
+        assert!(matches!(
+            crate::InGrassEngine::setup(&g, &cfg),
+            Err(InGrassError::InvalidConfig(_))
+        ));
+    }
+
+    /// The map-based contraction that [`contract`] replays: conductances
+    /// accumulated per cluster pair in `inter` order, then sorted by pair.
+    fn contract_reference(inter: &[(u32, u32, f64)], labels: &[u32]) -> Vec<(u32, u32, f64)> {
+        let mut acc: std::collections::HashMap<(u32, u32), f64> =
+            std::collections::HashMap::with_capacity(inter.len());
+        for &(a, b, r) in inter {
+            let (mut ca, mut cb) = (labels[a as usize], labels[b as usize]);
+            if ca == cb {
+                continue;
+            }
+            if ca > cb {
+                std::mem::swap(&mut ca, &mut cb);
+            }
+            *acc.entry((ca, cb)).or_insert(0.0) += 1.0 / r;
+        }
+        let mut out: Vec<(u32, u32, f64)> = acc
+            .into_iter()
+            .map(|((a, b), cond)| (a, b, 1.0 / cond))
+            .collect();
+        out.sort_unstable_by_key(|x| (x.0, x.1));
+        out
+    }
+
+    /// Every level of the hierarchy on `g` (Krylov edge resistances) is the
+    /// reference contraction's, down to the bits of each diameter and
+    /// threshold.
+    fn assert_levels_match_reference(g: &Graph, case: &str) {
+        use ingrass_resistance::{KrylovConfig, KrylovEmbedder};
+        let r = KrylovEmbedder::build(g, &KrylovConfig::default())
+            .unwrap()
+            .edge_resistances(g);
+        let got = LrdHierarchy::build(g, &r, None, 4.0, 64).unwrap();
+        let want = LrdHierarchy::build_with(g, &r, None, 4.0, 64, contract_reference).unwrap();
+        assert_eq!(got.num_levels(), want.num_levels(), "{case}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (l, (a, b)) in got.levels().iter().zip(want.levels()).enumerate() {
+            assert_eq!(a.cluster_of, b.cluster_of, "{case}, level {l}");
+            assert_eq!(a.size, b.size, "{case}, level {l}");
+            assert_eq!(bits(&a.diameter), bits(&b.diameter), "{case}, level {l}");
+            assert_eq!(
+                a.threshold.to_bits(),
+                b.threshold.to_bits(),
+                "{case}, level {l}"
+            );
+        }
+    }
+
+    #[test]
+    fn levels_match_the_map_contraction_bit_for_bit() {
+        for (side, seed) in [(8, 1), (13, 2), (21, 3)] {
+            let g = grid_2d(side, side, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, seed);
+            assert_levels_match_reference(&g, &format!("grid {side}, seed {seed}"));
+        }
+        // A GRASS sparsifier of a Delaunay graph after paper-shaped churn.
+        use ingrass_gen::{ChurnConfig, ChurnOp, ChurnStream, TestCase};
+        let g0 = TestCase::DelaunayN18.build(0.004, 7);
+        let h0 = ingrass_baselines::GrassSparsifier::default()
+            .by_offtree_density(&g0, 0.10)
+            .unwrap()
+            .graph;
+        let mut engine = crate::InGrassEngine::setup(&h0, &crate::SetupConfig::default()).unwrap();
+        let churn = ChurnStream::generate(
+            &g0,
+            &ChurnConfig {
+                batches: 40,
+                ops_per_batch: 25,
+                ..ChurnConfig::paper_shaped(&g0, 7)
+            },
+        );
+        for batch in churn.batches() {
+            let ops: Vec<crate::UpdateOp> = batch
+                .iter()
+                .map(|op| match *op {
+                    ChurnOp::Insert(u, v, weight) => crate::UpdateOp::Insert { u, v, weight },
+                    ChurnOp::Delete(u, v) => crate::UpdateOp::Delete { u, v },
+                    ChurnOp::Reweight(u, v, weight) => crate::UpdateOp::Reweight { u, v, weight },
+                })
+                .collect();
+            engine
+                .apply_batch(&ops, &crate::UpdateConfig::default())
+                .unwrap();
+        }
+        assert_levels_match_reference(&engine.sparsifier_graph(), "churned sparsifier");
+    }
+
+    #[test]
+    fn default_diameter_is_four_sorted_medians() {
+        let mut x = 0x9e37_79b9_u64;
+        for len in 0..40 {
+            let r: Vec<f64> = (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    [0.5, 1e-13, 2.0, 0.25][(x >> 60) as usize % 4]
+                        * (1.0 + (x >> 40) as f64 * 1e-9)
+                })
+                .collect();
+            let mut sorted = r.clone();
+            sorted.sort_by(|a, b| a.total_cmp(b));
+            let median = sorted.get(sorted.len() / 2).copied().unwrap_or(1.0);
+            let want = 4.0 * median.max(1e-12);
+            assert_eq!(default_diameter(&r).to_bits(), want.to_bits(), "{r:?}");
+        }
     }
 
     #[test]

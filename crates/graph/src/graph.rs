@@ -174,26 +174,44 @@ impl Graph {
 
     /// The graph Laplacian `L = D − A` as a sparse matrix.
     pub fn laplacian(&self) -> CsrMatrix {
-        let mut trip: Vec<(usize, usize, f64)> = Vec::with_capacity(self.n + 2 * self.edges.len());
-        for i in 0..self.n {
-            let d = self.weighted_degree(NodeId::new(i));
-            trip.push((i, i, d));
-        }
-        for e in &self.edges {
-            trip.push((e.u.index(), e.v.index(), -e.weight));
-            trip.push((e.v.index(), e.u.index(), -e.weight));
-        }
-        CsrMatrix::from_triplets(self.n, self.n, &trip)
+        self.adjacency_rows(true)
     }
 
     /// The weighted adjacency matrix `A` as a sparse matrix.
     pub fn adjacency_matrix(&self) -> CsrMatrix {
-        let mut trip: Vec<(usize, usize, f64)> = Vec::with_capacity(2 * self.edges.len());
-        for e in &self.edges {
-            trip.push((e.u.index(), e.v.index(), e.weight));
-            trip.push((e.v.index(), e.u.index(), e.weight));
+        self.adjacency_rows(false)
+    }
+
+    /// `A`, or `D − A` when `laplacian`, row by row from the adjacency
+    /// lists. Those are sorted by neighbour and free of self-loops and
+    /// repeats (edges are canonical and coalesced), so they are the
+    /// matrix rows already: the degree goes in between the lower and the
+    /// higher neighbours.
+    fn adjacency_rows(&self, laplacian: bool) -> CsrMatrix {
+        let nnz = self.adj.len() + if laplacian { self.n } else { 0 };
+        let mut indptr = Vec::with_capacity(self.n + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut data = Vec::with_capacity(nnz);
+        indptr.push(0);
+        let entry = |w: f64| if laplacian { -w } else { w };
+        for u in self.nodes() {
+            let nbrs = self.neighbors(u);
+            let split = nbrs.partition_point(|a| a.to < u);
+            for a in &nbrs[..split] {
+                indices.push(a.to.raw());
+                data.push(entry(a.weight));
+            }
+            if laplacian {
+                indices.push(u.raw());
+                data.push(self.weighted_degree(u));
+            }
+            for a in &nbrs[split..] {
+                indices.push(a.to.raw());
+                data.push(entry(a.weight));
+            }
+            indptr.push(indices.len());
         }
-        CsrMatrix::from_triplets(self.n, self.n, &trip)
+        CsrMatrix::from_sorted_rows(self.n, self.n, indptr, indices, data)
     }
 
     /// A new graph containing only the edges selected by `keep`
@@ -314,6 +332,65 @@ mod tests {
         assert_eq!(g.edge_weight(2.into(), 0.into()), Some(4.0));
         assert_eq!(g.edge_weight(0.into(), 0.into()), None);
         assert!((g.total_weight() - 7.0).abs() < 1e-15);
+    }
+
+    /// `L` and `A` assembled from sorted triplets: the reference the
+    /// row-by-row copies must match.
+    fn laplacian_and_adjacency_from_triplets(g: &Graph) -> (CsrMatrix, CsrMatrix) {
+        let mut lap = Vec::new();
+        let mut adj = Vec::new();
+        for i in 0..g.num_nodes() {
+            lap.push((i, i, g.weighted_degree(NodeId::new(i))));
+        }
+        for e in g.edges() {
+            let (u, v) = (e.u.index(), e.v.index());
+            lap.extend([(u, v, -e.weight), (v, u, -e.weight)]);
+            adj.extend([(u, v, e.weight), (v, u, e.weight)]);
+        }
+        let n = g.num_nodes();
+        (
+            CsrMatrix::from_triplets(n, n, &lap),
+            CsrMatrix::from_triplets(n, n, &adj),
+        )
+    }
+
+    #[test]
+    fn matrices_match_the_triplet_builds_bit_for_bit() {
+        let shapes = [
+            (1, vec![]),
+            (4, vec![(0, 1, 1.0), (2, 3, 0.5)]), // two components
+            (5, vec![(4, 0, 2.0), (3, 1, 0.25), (0, 2, 1.5), (2, 4, 3.0)]),
+        ];
+        let mut graphs: Vec<Graph> = shapes
+            .iter()
+            .map(|(n, e)| Graph::from_edges(*n, e).unwrap())
+            .collect();
+        graphs.push(triangle());
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut edges = Vec::new();
+        for _ in 0..400 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (u, v) = ((x % 60) as usize, ((x >> 20) % 60) as usize);
+            edges.push((u, v, 0.1 + (x >> 40) as f64 / (1u64 << 24) as f64));
+        }
+        graphs.push(Graph::from_edges(60, &edges).unwrap());
+        let bits = |m: &CsrMatrix| -> Vec<(Vec<u32>, Vec<u64>)> {
+            (0..m.n_rows())
+                .map(|r| {
+                    let (c, v) = m.row(r);
+                    (c.to_vec(), v.iter().map(|x| x.to_bits()).collect())
+                })
+                .collect()
+        };
+        for g in &graphs {
+            let (lap, adj) = laplacian_and_adjacency_from_triplets(g);
+            assert_eq!(bits(&g.laplacian()), bits(&lap));
+            assert_eq!(bits(&g.adjacency_matrix()), bits(&adj));
+            assert_eq!(g.laplacian(), lap);
+            assert_eq!(g.adjacency_matrix(), adj);
+        }
     }
 
     #[test]

@@ -11,16 +11,22 @@
 //! order — only independent columns are interleaved — which is what makes
 //! blocked results bit-identical per column.
 //!
-//! Inner loops run over register tiles of at most `LANES` (eight) columns
-//! whose width is a compile-time constant, so the per-column accumulators
-//! live in registers.
+//! Inner loops run over register tiles of at most [`LANES`] (eight)
+//! columns whose width is a compile-time constant, so the per-column
+//! accumulators live in registers. The tile helpers are public so that
+//! blocked kernels in other crates (the Krylov probe smoothing of
+//! `ingrass-resistance`) are built the same way.
 
 /// Widest register tile, in columns. Also the most columns
 /// [`crate::pcg_block`] advances together.
-pub(crate) const LANES: usize = 8;
+pub const LANES: usize = 8;
 
 /// `with_lanes!(w, f(args…))` calls `f::<W>(args…)` with the compile-time
-/// tile width `W == w` (`1 ≤ w ≤ LANES`).
+/// tile width `W == w` (`1 ≤ w ≤` [`block::LANES`](crate::block::LANES)).
+///
+/// # Panics
+/// Panics if `w` is 0 or wider than `LANES`.
+#[macro_export]
 macro_rules! with_lanes {
     ($w:expr, $f:ident($($arg:expr),* $(,)?)) => {
         match $w {
@@ -36,7 +42,7 @@ macro_rules! with_lanes {
         }
     };
 }
-pub(crate) use with_lanes;
+pub use with_lanes;
 
 /// The register tiles `(first column, width)` covering columns `0..k`.
 pub(crate) fn tiles(k: usize) -> impl Iterator<Item = (usize, usize)> {
@@ -46,14 +52,20 @@ pub(crate) fn tiles(k: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// The `W` entries of `v` starting at `at`.
+///
+/// # Panics
+/// Panics if `v` is shorter than `at + W`.
 #[inline(always)]
-pub(crate) fn tile<const W: usize>(v: &[f64], at: usize) -> &[f64; W] {
+pub fn tile<const W: usize>(v: &[f64], at: usize) -> &[f64; W] {
     v[at..at + W].try_into().expect("tile is W wide")
 }
 
 /// The `W` entries of `v` starting at `at`, mutably.
+///
+/// # Panics
+/// Panics if `v` is shorter than `at + W`.
 #[inline(always)]
-pub(crate) fn tile_mut<const W: usize>(v: &mut [f64], at: usize) -> &mut [f64; W] {
+pub fn tile_mut<const W: usize>(v: &mut [f64], at: usize) -> &mut [f64; W] {
     (&mut v[at..at + W]).try_into().expect("tile is W wide")
 }
 
@@ -62,7 +74,7 @@ pub(crate) fn tile_mut<const W: usize>(v: &mut [f64], at: usize) -> &mut [f64; W
 /// product replays [`crate::vector::dot`] bit for bit, down to the sign of
 /// an all-zero sum.
 #[inline(always)]
-pub(crate) fn sum_identity() -> f64 {
+pub fn sum_identity() -> f64 {
     std::iter::empty::<f64>().sum()
 }
 

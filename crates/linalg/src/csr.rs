@@ -65,6 +65,47 @@ impl CsrMatrix {
         m
     }
 
+    /// Builds a matrix from its CSR arrays: row `r` holds the columns
+    /// `indices[indptr[r]..indptr[r + 1]]`, strictly increasing, and the
+    /// values at the same positions of `data` — the layout
+    /// [`CsrMatrix::from_triplets`] produces, without its sort.
+    ///
+    /// # Panics
+    /// Panics if `indptr` does not have `n_rows + 1` entries rising from 0
+    /// to `indices.len()`, if `data` and `indices` differ in length, or if
+    /// a row's columns are not strictly increasing and below `n_cols`.
+    pub fn from_sorted_rows(
+        n_rows: usize,
+        n_cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        data: Vec<f64>,
+    ) -> Self {
+        assert_eq!(indptr.len(), n_rows + 1, "from_sorted_rows: indptr length");
+        assert_eq!(indptr[0], 0, "from_sorted_rows: indptr start");
+        assert_eq!(
+            indptr[n_rows],
+            indices.len(),
+            "from_sorted_rows: indptr end"
+        );
+        assert_eq!(data.len(), indices.len(), "from_sorted_rows: data length");
+        for r in 0..n_rows {
+            let cols = &indices[indptr[r]..indptr[r + 1]];
+            assert!(
+                cols.windows(2).all(|w| w[0] < w[1])
+                    && cols.last().map_or(true, |&c| (c as usize) < n_cols),
+                "from_sorted_rows: row {r} columns not increasing or out of bounds"
+            );
+        }
+        CsrMatrix {
+            n_rows,
+            n_cols,
+            indptr,
+            indices,
+            data,
+        }
+    }
+
     fn sort_and_coalesce(&mut self) {
         let mut new_indptr = Vec::with_capacity(self.n_rows + 1);
         let mut new_indices = Vec::with_capacity(self.indices.len());

@@ -4,6 +4,7 @@
 //! length mismatch (these are internal hot-path kernels; the public solver
 //! entry points validate dimensions and return [`crate::LinalgError`]).
 
+use crate::block::sum_identity;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -108,13 +109,31 @@ pub fn random_unit_perp_ones_with<R: Rng>(n: usize, rng: &mut R) -> Vec<f64> {
 
 /// Modified Gram–Schmidt: orthogonalises `x` against each vector in `basis`
 /// (assumed mutually orthonormal), twice for numerical robustness.
+///
+/// Each subtraction `x ← x − (xᵀb)·b` shares its pass over `x` with the
+/// next coefficient's dot product, which reads every entry just after it
+/// is updated: one pass per basis vector instead of two, with the
+/// arithmetic of a separate [`dot`] and [`axpy`] in the same order, so the
+/// same bits.
+///
+/// # Panics
+/// Panics if a basis vector's length differs from `x`'s.
 pub fn mgs_orthogonalize(x: &mut [f64], basis: &[Vec<f64>]) {
-    for _ in 0..2 {
-        for b in basis {
-            let c = dot(x, b);
-            axpy(-c, b, x);
+    let mut order = basis.iter().chain(basis);
+    let Some(mut b) = order.next() else {
+        return;
+    };
+    let mut c = dot(x, b);
+    for next in order {
+        assert_eq!(next.len(), x.len(), "dot: length mismatch");
+        let mut acc = sum_identity();
+        for ((xi, bi), ni) in x.iter_mut().zip(b).zip(next) {
+            *xi += -c * bi;
+            acc += *xi * ni;
         }
+        (b, c) = (next, acc);
     }
+    axpy(-c, b, x);
 }
 
 #[cfg(test)]
@@ -177,6 +196,44 @@ mod tests {
         mgs_orthogonalize(&mut x, &[b1.clone(), b2.clone()]);
         assert!(dot(&x, &b1).abs() < 1e-12);
         assert!(dot(&x, &b2).abs() < 1e-12);
+    }
+
+    /// The two-pass loop [`mgs_orthogonalize`] replays: a whole [`dot`],
+    /// then a whole [`axpy`], per basis vector, twice.
+    fn mgs_two_pass(x: &mut [f64], basis: &[Vec<f64>]) {
+        for _ in 0..2 {
+            for b in basis {
+                let c = dot(x, b);
+                axpy(-c, b, x);
+            }
+        }
+    }
+
+    #[test]
+    fn mgs_matches_the_two_pass_loop_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x6d67);
+        for case in 0..60 {
+            let n = 1 + case;
+            // Up to n vectors, orthonormalised by the reference itself, as
+            // the Krylov and Lanczos bases are.
+            let mut basis: Vec<Vec<f64>> = Vec::new();
+            for _ in 0..(case % 9).min(n) {
+                let mut v = random_unit_perp_ones_with(n, &mut rng);
+                mgs_two_pass(&mut v, &basis);
+                if normalize(&mut v) > 1e-12 {
+                    basis.push(v);
+                }
+            }
+            let mut x: Vec<f64> = (0..n).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect();
+            if case % 5 == 0 {
+                x[0] = -0.0; // signed zeros take the same path
+            }
+            let mut reference = x.clone();
+            mgs_orthogonalize(&mut x, &basis);
+            mgs_two_pass(&mut reference, &basis);
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&reference), "case {case}");
+        }
     }
 
     proptest! {

@@ -217,6 +217,11 @@ pub const PAR_AUTO_THRESHOLD: usize = 8192;
 /// [`PAR_AUTO_THRESHOLD`] items, the ambient [`num_threads`] width above.
 /// One shared threshold keeps every such call site's dispatch policy in
 /// sync. The output is identical either way.
+///
+/// Above the threshold each worker maps one contiguous run of items
+/// ([`split_even`]) instead of pulling items one at a time from a shared
+/// cursor: for items this cheap, the cursor's contended atomic would cost
+/// more than the map itself.
 pub fn par_map_auto<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -226,7 +231,14 @@ where
     if items.len() < PAR_AUTO_THRESHOLD {
         items.iter().map(f).collect()
     } else {
-        par_map(items, f)
+        let threads = num_threads();
+        let runs = split_even(items.len(), threads);
+        par_map_with(threads, &runs, |run| {
+            items[run.clone()].iter().map(&f).collect::<Vec<U>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -250,6 +262,23 @@ mod tests {
         for threads in [1, 2, 3, 4, 8, 300] {
             let par = par_map_range_with(threads, 257, |i| (i as u64).wrapping_mul(2654435761));
             assert_eq!(par, serial, "width {threads} diverged");
+        }
+    }
+
+    #[test]
+    fn auto_map_matches_serial_on_both_sides_of_the_threshold() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        for len in [
+            0,
+            5,
+            PAR_AUTO_THRESHOLD - 1,
+            PAR_AUTO_THRESHOLD,
+            3 * PAR_AUTO_THRESHOLD + 7,
+        ] {
+            let items: Vec<u64> = (0..len as u64).collect();
+            let f = |v: &u64| v.wrapping_mul(2654435761);
+            let serial: Vec<u64> = items.iter().map(f).collect();
+            assert_eq!(par_map_auto(&items, f), serial, "{len} items");
         }
     }
 
