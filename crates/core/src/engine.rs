@@ -743,7 +743,7 @@ impl InGrassEngine {
     /// iterations — the condition number the update phase keeps bounded.
     /// [`crate::SnapshotEngine`] maintains this factor across publishes
     /// and hands it to every [`crate::SparsifierSnapshot`], which is what
-    /// the solve services in `ingrass-solve` precondition with.
+    /// `ingrass-solve`'s `ConcurrentSolveService` preconditions with.
     ///
     /// # Errors
     /// [`InGrassError::BadSparsifier`] if the grounded Laplacian fails to
@@ -763,14 +763,26 @@ impl InGrassEngine {
     /// process-unique [`InGrassEngine::instance_id`] are excluded: the
     /// former is unobservable between probes, the latter is regenerated at
     /// restore so caches never confuse a restored engine with its source.
+    ///
+    /// The setup report's four wall-clock durations are process-local
+    /// measurements, like the sharded engine's per-shard latencies: they
+    /// export as zero, so one history always exports the same bytes. The
+    /// node, edge and level counts travel.
     pub fn export_state(&self) -> crate::state::EngineState {
+        let zero = std::time::Duration::ZERO;
         crate::state::EngineState {
             num_nodes: self.h.num_nodes(),
             levels: self.hierarchy.levels().to_vec(),
             connectivity: self.connectivity.export_state(),
             edge_slots: self.h.edge_slots(),
             surplus: self.surplus.clone(),
-            setup_report: self.setup_report.clone(),
+            setup_report: SetupReport {
+                resistance_time: zero,
+                lrd_time: zero,
+                connectivity_time: zero,
+                total_time: zero,
+                ..self.setup_report
+            },
             setup_cfg: self.setup_cfg.clone(),
             deltas: self.deltas.clone(),
             ledger: self.ledger.export_state(),
@@ -786,7 +798,9 @@ impl InGrassEngine {
     /// included), the same hierarchy and connectivity index, the same
     /// drift sums — so replaying a WAL tail on it reproduces the original
     /// run exactly. Only [`InGrassEngine::instance_id`] differs (fresh by
-    /// design) and the probe scratch restarts at zero.
+    /// design), the setup report's durations read zero (see
+    /// [`InGrassEngine::export_state`]) and the probe scratch restarts at
+    /// zero.
     ///
     /// # Errors
     /// [`InGrassError::BadSparsifier`] / [`InGrassError::InvalidConfig`]

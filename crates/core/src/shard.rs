@@ -63,7 +63,7 @@ use crate::snapshot::{
 };
 use crate::Result;
 use ingrass_graph::{DisjointSets, Graph, NodeId};
-use ingrass_metrics::{LatencyHistogram, LatencySummary, ShardStats};
+use ingrass_metrics::{LatencyHistogram, ShardStats};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -220,10 +220,9 @@ pub struct ShardedEngine {
     /// denominator of the boundary's deleted-weight drift fraction.
     boundary_epoch_weight: f64,
     boundary_deleted_weight: f64,
-    per_shard_update: Vec<LatencySummary>,
     per_shard_hist: Vec<LatencyHistogram>,
     /// One sample per batch with shard work: the fan-out→fence span.
-    parallel_update: LatencySummary,
+    parallel_update: LatencyHistogram,
     per_shard_ops: Vec<u64>,
 }
 
@@ -324,9 +323,8 @@ impl ShardedEngine {
             boundary_relinks: 0,
             boundary_epoch_weight,
             boundary_deleted_weight: 0.0,
-            per_shard_update: vec![LatencySummary::new(); s],
             per_shard_hist: vec![LatencyHistogram::new(); s],
-            parallel_update: LatencySummary::new(),
+            parallel_update: LatencyHistogram::new(),
             per_shard_ops: vec![0; s],
         })
     }
@@ -481,7 +479,6 @@ impl ShardedEngine {
             self.parallel_update.record(fence_wall_s);
         }
         for (sh, rep, wall) in applied {
-            self.per_shard_update[sh].record(wall);
             self.per_shard_hist[sh].record(wall);
             self.per_shard_ops[sh] += rep.batch_size as u64;
             report.shard_reports[sh] = Some(rep);
@@ -677,7 +674,6 @@ impl ShardedEngine {
     /// Merged per-shard work statistics since setup (or restore).
     pub fn shard_stats(&self) -> ShardStats {
         ShardStats::from_shards(
-            &self.per_shard_update,
             &self.per_shard_hist,
             &self.parallel_update,
             &self.per_shard_ops,
@@ -753,7 +749,9 @@ impl ShardedEngine {
     /// shard engine, the routing assignment, the boundary edge list, the
     /// global hierarchy, and the drift counters.
     /// [`ShardedEngine::from_state`] is its inverse. Per-shard latency
-    /// summaries are process-local measurements and restart empty.
+    /// histograms are process-local measurements and restart empty, and
+    /// each shard's setup timings export as zero
+    /// ([`crate::InGrassEngine::export_state`]).
     pub fn export_state(&self) -> crate::state::ShardedState {
         crate::state::ShardedState {
             shards: self.engines.iter().map(|e| e.export_state()).collect(),
@@ -876,9 +874,8 @@ impl ShardedEngine {
             boundary_relinks: state.boundary_relinks,
             boundary_epoch_weight: state.boundary_epoch_weight,
             boundary_deleted_weight: state.boundary_deleted_weight,
-            per_shard_update: vec![LatencySummary::new(); s],
             per_shard_hist: vec![LatencyHistogram::new(); s],
-            parallel_update: LatencySummary::new(),
+            parallel_update: LatencyHistogram::new(),
             per_shard_ops: state.per_shard_ops,
         })
     }

@@ -101,7 +101,9 @@ pub struct EngineState {
     pub edge_slots: Vec<Option<(u32, u32, f64)>>,
     /// Per-edge merged surplus, indexed by edge id.
     pub surplus: Vec<f64>,
-    /// Setup-phase statistics (timings are those of the original setup).
+    /// Setup-phase statistics. The counts are those of the last
+    /// (re)setup; its wall-clock durations are process-local and export
+    /// as zero ([`crate::InGrassEngine::export_state`]).
     pub setup_report: SetupReport,
     /// The retained setup configuration (drift policy included).
     pub setup_cfg: SetupConfig,
@@ -169,8 +171,8 @@ pub struct ServingState {
 /// the coordinator's drift counters.
 ///
 /// Produced by [`crate::ShardedEngine::export_state`]; consumed by
-/// [`crate::ShardedEngine::from_state`]. Per-shard latency summaries are
-/// process-local wall-clock measurements and are deliberately not
+/// [`crate::ShardedEngine::from_state`]. Per-shard latency histograms
+/// are process-local wall-clock measurements and are deliberately not
 /// persisted (they restart empty); per-shard *op* counters are, so
 /// imbalance statistics survive a restore.
 #[derive(Debug, Clone, PartialEq)]

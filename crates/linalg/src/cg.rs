@@ -2,7 +2,7 @@
 
 use crate::op::LinearOperator;
 use crate::vector::{axpy, dot, norm2, project_out};
-use crate::{BlockPcg, CsrMatrix};
+use crate::CsrMatrix;
 
 /// A symmetric positive (semi-)definite preconditioner `M ≈ A`, applied as
 /// `z ← M⁻¹ r`.
@@ -269,51 +269,6 @@ where
     }
 }
 
-/// Solves `A xᵢ = bᵢ` for a batch of right-hand sides, each from a zero
-/// initial guess, distributing the (mutually independent) solves over
-/// `threads` workers.
-///
-/// This is the batched form `SolveService` in `ingrass-solve` uses for a
-/// batch of right-hand sides against one fixed operator/preconditioner
-/// pair. The batch is split into
-/// `min(threads, len)` contiguous, near-equal blocks
-/// ([`ingrass_par::split_even`]), and each worker solves its block with the
-/// [`crate::pcg_block`] kernel. Results are **bit-for-bit identical to
-/// calling [`pcg`] in a serial loop**, at any thread count: the block
-/// kernel reproduces every column exactly, and outputs are placed back by
-/// batch index (see `ingrass-par`).
-///
-/// # Panics
-/// Panics if any right-hand side's length disagrees with `a.dim()` (same
-/// contract as [`pcg`]).
-pub fn pcg_multi<A, M>(
-    a: &A,
-    rhss: &[Vec<f64>],
-    precond: &M,
-    deflate: Option<&[f64]>,
-    opts: &CgOptions,
-    threads: usize,
-) -> Vec<(Vec<f64>, CgResult)>
-where
-    A: LinearOperator + Sync + ?Sized,
-    M: Preconditioner + Sync + ?Sized,
-{
-    // Each block's solutions and workspace are allocated here, on the
-    // calling thread (see `BlockPcg`); the workers only compute.
-    let mut blocks: Vec<(BlockPcg, Vec<Vec<f64>>)> = ingrass_par::split_even(rhss.len(), threads)
-        .into_iter()
-        .map(|cols| (BlockPcg::new(a.dim(), cols.len()), rhss[cols].to_vec()))
-        .collect();
-    let results = ingrass_par::par_map_mut_with(threads, &mut blocks, |(pcg, xs)| {
-        pcg.solve(a, xs, precond, deflate, opts)
-    });
-    blocks
-        .into_iter()
-        .zip(results)
-        .flat_map(|((_, xs), res)| xs.into_iter().zip(res))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,44 +375,6 @@ mod tests {
         let res = pcg(&a, &b, &mut x, &pre, None, &CgOptions::default());
         assert!(res.converged);
         assert_eq!(res.iterations, 0);
-    }
-
-    #[test]
-    fn pcg_multi_is_bitwise_identical_to_serial_at_any_width() {
-        let n = 30;
-        let l = laplacian_path(n);
-        let pre = JacobiPrecond::from_matrix(&l);
-        let ones = vec![1.0; n];
-        let opts = CgOptions::default();
-        // A handful of b ⊥ 1 right-hand sides of varying difficulty.
-        let rhss: Vec<Vec<f64>> = (1..6)
-            .map(|k| {
-                let mut b = vec![0.0; n];
-                b[0] = k as f64;
-                b[n - 1] = -(k as f64);
-                b
-            })
-            .collect();
-        let serial: Vec<(Vec<f64>, CgResult)> = rhss
-            .iter()
-            .map(|b| {
-                let mut x = vec![0.0; n];
-                let r = pcg(&l, b, &mut x, &pre, Some(&ones), &opts);
-                (x, r)
-            })
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            let batch = pcg_multi(&l, &rhss, &pre, Some(&ones), &opts, threads);
-            assert_eq!(batch, serial, "width {threads} diverged");
-        }
-    }
-
-    #[test]
-    fn pcg_multi_empty_batch() {
-        let l = laplacian_path(4);
-        let pre = IdentityPrecond::new(4);
-        let out = pcg_multi(&l, &[], &pre, None, &CgOptions::default(), 4);
-        assert!(out.is_empty());
     }
 
     proptest! {

@@ -58,7 +58,7 @@ mod lanczos;
 mod op;
 pub mod vector;
 
-pub use cg::{pcg, pcg_multi, CgOptions, CgResult, IdentityPrecond, JacobiPrecond, Preconditioner};
+pub use cg::{pcg, CgOptions, CgResult, IdentityPrecond, JacobiPrecond, Preconditioner};
 pub use cg_block::{pcg_block, BlockPcg};
 pub use cholesky::{min_degree_order, min_degree_order_with_hints, CholeskyState, SparseCholesky};
 pub use csr::CsrMatrix;

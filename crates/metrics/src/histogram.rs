@@ -1,12 +1,12 @@
 //! Fixed-bucket log-scale latency histograms for SLO accounting.
 //!
-//! [`LatencySummary`](crate::LatencySummary) answers min/mean/max; serving
-//! SLOs are stated in *percentiles* (p99 under overload), which no O(1)
-//! accumulator can produce. [`LatencyHistogram`] is the classic
+//! Serving SLOs are stated in *percentiles* (p99 under overload), which no
+//! O(1) accumulator can produce. [`LatencyHistogram`] is the classic
 //! fixed-memory compromise: a bank of log-spaced buckets covering
 //! 1 µs … 100 s at 8 buckets per decade (≈ 33 % relative resolution per
 //! bucket, i.e. a reported quantile is exact up to one bucket's width),
-//! with explicit under/overflow buckets so no sample is ever lost.
+//! with explicit under/overflow buckets so no sample is ever lost, plus
+//! the exact count, total, min and max beside them.
 //! Recording is O(1), [`merge`](LatencyHistogram::merge) is element-wise,
 //! and [`quantile`](LatencyHistogram::quantile) is a deterministic
 //! function of the recorded multiset — two runs that record the same
@@ -29,7 +29,8 @@ const REGULAR: usize = PER_DECADE * DECADES;
 const BUCKETS: usize = REGULAR + 2;
 
 /// A fixed-memory log-scale histogram over wall-time samples (seconds),
-/// with mergeable counts and deterministic quantiles.
+/// with mergeable counts, deterministic quantiles and the exact min, mean
+/// and max.
 ///
 /// # Example
 /// ```
@@ -45,6 +46,7 @@ const BUCKETS: usize = REGULAR + 2;
 /// assert!(p50 > 0.030 && p50 < 0.075, "p50 {p50}");
 /// assert!(p99 > 0.070 && p99 <= 0.135, "p99 {p99}");
 /// assert!(p50 < p99);
+/// assert_eq!((h.min_seconds(), h.max_seconds()), (1e-3, 0.1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyHistogram {
@@ -52,6 +54,8 @@ pub struct LatencyHistogram {
     count: u64,
     rejected: u64,
     total_s: f64,
+    min_s: f64,
+    max_s: f64,
 }
 
 impl Default for LatencyHistogram {
@@ -61,6 +65,8 @@ impl Default for LatencyHistogram {
             count: 0,
             rejected: 0,
             total_s: 0.0,
+            min_s: f64::INFINITY,
+            max_s: 0.0,
         }
     }
 }
@@ -103,14 +109,17 @@ impl LatencyHistogram {
         LatencyHistogram::default()
     }
 
-    /// Records one sample. Negative or non-finite samples are dropped and
-    /// counted in [`LatencyHistogram::rejected`], exactly as
-    /// [`crate::LatencySummary::record`] treats timer anomalies.
+    /// Records one sample. Negative or non-finite samples can only arise
+    /// from timer anomalies and must not poison the aggregate: they are
+    /// *dropped* — counted in [`LatencyHistogram::rejected`], but excluded
+    /// from the buckets, count, total, min and max.
     pub fn record(&mut self, seconds: f64) {
         if !seconds.is_finite() || seconds < 0.0 {
             self.rejected += 1;
             return;
         }
+        self.min_s = self.min_s.min(seconds);
+        self.max_s = self.max_s.max(seconds);
         self.counts[bucket_of(seconds)] += 1;
         self.count += 1;
         self.total_s += seconds;
@@ -118,6 +127,8 @@ impl LatencyHistogram {
 
     /// Folds another histogram into this one (element-wise counts).
     pub fn merge(&mut self, other: &LatencyHistogram) {
+        self.min_s = self.min_s.min(other.min_s);
+        self.max_s = self.max_s.max(other.max_s);
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
@@ -149,6 +160,20 @@ impl LatencyHistogram {
         } else {
             self.total_s / self.count as f64
         }
+    }
+
+    /// Smallest sample, exact rather than bucketed (0 when empty).
+    pub fn min_seconds(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.min_s
+        }
+    }
+
+    /// Largest sample, exact rather than bucketed (0 when empty).
+    pub fn max_seconds(&self) -> f64 {
+        self.max_s
     }
 
     /// The `q`-quantile (`q ∈ [0, 1]`) of the recorded samples, resolved
@@ -230,7 +255,10 @@ mod tests {
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.p99(), 0.0);
+        assert_eq!(h.total_seconds(), 0.0);
         assert_eq!(h.mean_seconds(), 0.0);
+        assert_eq!(h.min_seconds(), 0.0);
+        assert_eq!(h.max_seconds(), 0.0);
         // The Option form tells "no samples" apart from a real zero.
         assert_eq!(h.try_quantile(0.0), None);
         assert_eq!(h.try_quantile(0.5), None);
@@ -312,14 +340,64 @@ mod tests {
     }
 
     #[test]
+    fn records_track_min_mean_max() {
+        let mut h = LatencyHistogram::new();
+        for s in [0.003, 0.001, 0.005] {
+            h.record(s);
+        }
+        assert_eq!(h.count(), 3);
+        assert!((h.total_seconds() - 0.009).abs() < 1e-12);
+        assert!((h.mean_seconds() - 0.003).abs() < 1e-12);
+        assert_eq!(h.min_seconds(), 0.001);
+        assert_eq!(h.max_seconds(), 0.005);
+    }
+
+    #[test]
     fn bogus_samples_are_dropped() {
         let mut h = LatencyHistogram::new();
         h.record(f64::NAN);
         h.record(-1.0);
         h.record(f64::INFINITY);
+        assert_eq!((h.count(), h.rejected()), (0, 3));
+        assert_eq!(h.total_seconds(), 0.0);
+        assert_eq!(h.max_seconds(), 0.0);
         h.record(0.5);
         assert_eq!(h.count(), 1);
         assert_eq!(h.rejected(), 3);
+    }
+
+    #[test]
+    fn anomalies_do_not_poison_min_seconds() {
+        // Clamping anomalies to 0.0 and recording them would pin
+        // min_seconds at 0 for the rest of the histogram's life.
+        let mut h = LatencyHistogram::new();
+        h.record(f64::NAN);
+        h.record(0.005);
+        h.record(-3.0);
+        h.record(0.002);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.rejected(), 2);
+        assert_eq!(h.min_seconds(), 0.002);
+        assert_eq!(h.max_seconds(), 0.005);
+        assert!((h.mean_seconds() - 0.0035).abs() < 1e-12);
+
+        // Merging propagates the rejected count without reviving zeros.
+        let mut other = LatencyHistogram::new();
+        other.record(f64::INFINITY);
+        other.record(0.004);
+        h.merge(&other);
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.rejected(), 3);
+        assert_eq!(h.min_seconds(), 0.002);
+
+        // Merging into an empty histogram keeps its rejected tally and
+        // takes the other's min and max.
+        let mut empty = LatencyHistogram::new();
+        empty.record(f64::NAN);
+        empty.merge(&other);
+        assert_eq!(empty.count(), 1);
+        assert_eq!(empty.rejected(), 2);
+        assert_eq!((empty.min_seconds(), empty.max_seconds()), (0.004, 0.004));
     }
 
     #[test]
@@ -339,10 +417,17 @@ mod tests {
         a.merge(&b);
         assert_eq!(a, whole);
         assert_eq!(a.quantile(0.99), whole.quantile(0.99));
-        // Merging an empty histogram is a no-op.
+        assert_eq!(
+            (a.min_seconds(), a.max_seconds()),
+            (samples[0], samples[199])
+        );
+        // Merging an empty histogram is a no-op in both directions.
         let before = a;
         a.merge(&LatencyHistogram::new());
         assert_eq!(a, before);
+        let mut e = LatencyHistogram::new();
+        e.merge(&before);
+        assert_eq!(e, before);
     }
 
     #[test]

@@ -21,7 +21,6 @@ mod density;
 mod distortion;
 mod error;
 mod histogram;
-mod latency;
 mod shard;
 mod trajectory;
 
@@ -30,7 +29,6 @@ pub use density::{DensityReport, SparsifierDensity};
 pub use distortion::{offtree_distortion_stats, DistortionStats};
 pub use error::MetricsError;
 pub use histogram::LatencyHistogram;
-pub use latency::LatencySummary;
 pub use shard::ShardStats;
 pub use trajectory::{ConditionTrajectory, TrajectoryPoint};
 

@@ -180,9 +180,10 @@ where
 }
 
 /// Splits `0..len` into `min(parts, len)` contiguous ranges whose lengths
-/// differ by at most one (the longer ones first) — the block partition the
-/// multi-right-hand-side solve paths hand to [`par_map_with`], so each
-/// worker advances one contiguous run of columns together.
+/// differ by at most one (the longer ones first) — the block partition a
+/// solve drain, the Krylov probe smoothing and the stitched Schur columns
+/// hand to their workers, so each worker advances one contiguous run of
+/// columns together.
 ///
 /// `parts == 0` is treated as 1; `len == 0` yields no ranges.
 ///

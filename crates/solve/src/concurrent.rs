@@ -2,9 +2,8 @@
 //! right-hand sides per snapshot, drained in parallel on the `ingrass-par`
 //! pool.
 //!
-//! The [`crate::SolveService`] is a single-caller object: one `&mut`
-//! holder, solves serialized against the caller. [`ConcurrentSolveService`]
-//! is its serving-layer counterpart for many readers:
+//! [`ConcurrentSolveService`] is the one solve entry point, built for many
+//! readers:
 //!
 //! * **submission is `&self`** — any number of reader threads
 //!   [`submit`](ConcurrentSolveService::submit) right-hand sides, each
@@ -38,7 +37,7 @@
 use crate::service::{project, SolveConfig};
 use ingrass::{PhaseTimer, SparsifierSnapshot};
 use ingrass_linalg::{BlockPcg, CgOptions, CgResult, CsrMatrix, Preconditioner};
-use ingrass_metrics::{LatencyHistogram, LatencySummary};
+use ingrass_metrics::LatencyHistogram;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -110,7 +109,7 @@ pub struct ConcurrentSolveStats {
     /// PCG iterations summed over all answered requests.
     pub iterations_total: usize,
     /// Per-round solve wall time.
-    pub drain_latency: LatencySummary,
+    pub drain_latency: LatencyHistogram,
     /// Per-request solve wall time across all rounds (the merge of every
     /// round's [`DrainReport::request_latency`]).
     pub request_latency: LatencyHistogram,
@@ -119,9 +118,8 @@ pub struct ConcurrentSolveStats {
 /// One block of a drained group's requests, solved as one blocked PCG run
 /// ([`ingrass_linalg::BlockPcg`]): each right-hand side projected onto
 /// `1⊥`, the constant deflated every iteration, every column starting from
-/// zero — the recipe of [`crate::SolveService::solve_batch`], so each
-/// request's answer is bit-identical to solving it alone, whatever the
-/// block size.
+/// zero, so each request's answer is bit-identical to solving it alone with
+/// [`ingrass_linalg::pcg`], whatever the block size.
 ///
 /// [`Block::new`] allocates everything the solve needs, so the draining
 /// thread owns the memory and workers only compute.
@@ -244,9 +242,10 @@ impl std::fmt::Debug for ConcurrentSolveService {
 }
 
 impl ConcurrentSolveService {
-    /// A service with the given configuration. `cg` and `threads` apply
-    /// as in [`crate::SolveService`]; the preconditioner is the snapshot's
-    /// own factor.
+    /// A service with the given configuration: `cg` are the PCG options
+    /// of every request, `threads` the width a drain solves at, and
+    /// `max_pending` the admission cap. The preconditioner is the
+    /// snapshot's own factor.
     pub fn new(cfg: SolveConfig) -> Self {
         ConcurrentSolveService {
             cfg,
@@ -292,11 +291,7 @@ impl ConcurrentSolveService {
         laplacian: &Arc<CsrMatrix>,
         rhs: Vec<f64>,
     ) -> crate::Result<Ticket> {
-        crate::service::check_operands(
-            snapshot.num_nodes(),
-            laplacian,
-            std::slice::from_ref(&rhs),
-        )?;
+        crate::service::check_operands(snapshot.num_nodes(), laplacian, &rhs)?;
         let mut inner = self.lock();
         if let Some(cap) = self.cfg.max_pending {
             if inner.pending >= cap {
@@ -350,12 +345,11 @@ impl ConcurrentSolveService {
     /// (`SolveConfig::threads`, default the ambient `ingrass-par` width).
     /// A block is one blocked PCG run ([`ingrass_linalg::pcg_block`]): each
     /// iteration reads the Laplacian and the snapshot's factor once for
-    /// all of its requests. Each request gets the same treatment as
-    /// [`crate::SolveService`] — `1⊥` projection, constant deflation, the
-    /// snapshot's exact factor as the preconditioner — and its answer is
-    /// bit-identical to solving it alone, at any width and whatever shares
-    /// its block. Non-convergence is reported per request, not as an
-    /// error.
+    /// all of its requests. Each request gets `1⊥` projection, constant
+    /// deflation and the snapshot's exact factor as the preconditioner,
+    /// and its answer is bit-identical to solving it alone, at any width
+    /// and whatever shares its block. Non-convergence is reported per
+    /// request, not as an error.
     ///
     /// If a solve **panics** mid-round, every taken-out group is put back
     /// at the front of the queue before the panic resumes: no admitted
@@ -651,8 +645,8 @@ mod tests {
             b[4] = bad;
             b[9] = f64::NAN;
             match svc.submit(&snap, &lap, b) {
-                Err(SolveError::NonFinite { rhs, index, value }) => {
-                    assert_eq!((rhs, index), (0, 4), "names the first bad entry");
+                Err(SolveError::NonFinite { index, value }) => {
+                    assert_eq!(index, 4, "names the first bad entry");
                     assert_eq!(value.to_bits(), bad.to_bits());
                 }
                 other => panic!("non-finite rhs admitted: {other:?}"),
@@ -746,11 +740,10 @@ mod tests {
             );
         };
         for threads in [1, 2, 4] {
-            let cfg = SolveConfig {
+            let svc = ConcurrentSolveService::new(SolveConfig {
                 threads: Some(threads),
                 ..Default::default()
-            };
-            let svc = ConcurrentSolveService::new(cfg.clone());
+            });
             for (snap, b) in &requests {
                 svc.submit(snap, &lap, b.clone()).unwrap();
             }
@@ -763,20 +756,54 @@ mod tests {
                 assert_eq!(s.version, requests[k].0.version());
                 check((&s.x, &s.result), k, &format!("drain width {threads}"));
             }
-
-            // The single-caller path answers each group's batch the same.
-            let mut single = crate::SolveService::new(cfg);
-            for snap in [&old, &new] {
-                let ks: Vec<usize> = (0..requests.len())
-                    .filter(|&k| Arc::ptr_eq(&requests[k].0, snap))
-                    .collect();
-                let rhss: Vec<Vec<f64>> = ks.iter().map(|&k| requests[k].1.clone()).collect();
-                let (xs, report) = single.solve_batch(snap, &lap, &rhss).unwrap();
-                for ((x, res), &k) in xs.iter().zip(&report.results).zip(&ks) {
-                    check((x, res), k, &format!("solve_batch width {threads}"));
-                }
-            }
         }
+    }
+
+    #[test]
+    fn a_different_engine_at_the_same_epoch_is_not_served_the_old_factor() {
+        // Two engines over different sparsifiers publish their set-up
+        // snapshots at the same (epoch, version). Submitted with one
+        // shared Laplacian `Arc`, only the instance id keeps their groups,
+        // and so their factors, apart.
+        let n = 32;
+        let h_a = ring(n);
+        let lap = Arc::new(h_a.laplacian());
+        let mut edges: Vec<(usize, usize, f64)> = h_a
+            .edges()
+            .iter()
+            .map(|e| (e.u.index(), e.v.index(), e.weight))
+            .collect();
+        edges.push((3, 19, 1.25));
+        let h_b = Graph::from_edges(n, &edges).unwrap();
+        let snap_a = SnapshotEngine::setup(&h_a, &SetupConfig::default())
+            .unwrap()
+            .snapshot();
+        let snap_b = SnapshotEngine::setup(&h_b, &SetupConfig::default())
+            .unwrap()
+            .snapshot();
+        assert_eq!(
+            (snap_a.epoch(), snap_a.version()),
+            (snap_b.epoch(), snap_b.version())
+        );
+        assert_ne!(snap_a.instance_id(), snap_b.instance_id());
+
+        let svc = ConcurrentSolveService::new(SolveConfig::default());
+        let b = pair_rhs(n, 0, 9);
+        svc.submit(&snap_a, &lap, b.clone()).unwrap();
+        svc.submit(&snap_b, &lap, b.clone()).unwrap();
+        let round = svc.drain();
+        assert_eq!(round.groups, 2, "one group per engine");
+        let cg = SolveConfig::default().cg;
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (served, snap) in round.served.iter().zip([&snap_a, &snap_b]) {
+            let (x, res) = reference_solve(snap, &lap, &b, &cg);
+            assert_eq!(bits(&served.x), bits(&x), "answered with its own factor");
+            assert_eq!(served.result.iterations, res.iterations);
+        }
+        assert_ne!(
+            round.served[0].x, round.served[1].x,
+            "the two sparsifiers must precondition differently"
+        );
     }
 
     #[test]

@@ -12,24 +12,23 @@
 //! incremental update phase keeps small — instead of the `O(√κ(L_G))` of
 //! plain CG.
 //!
-//! Both services answer against snapshots and never borrow an engine, so a
-//! writer keeps applying update batches throughout:
-//!
-//! * [`SolveService::solve_batch`] is the single-caller form: one batch
-//!   against one snapshot, solved by [`ingrass_linalg::pcg_multi`];
-//! * [`ConcurrentSolveService`] is the serving form: reader threads submit
-//!   right-hand sides tagged with the snapshot they should be answered
-//!   against, submissions against one snapshot coalesce into a multi-RHS
-//!   admission group, and `drain` answers every pending group on the
-//!   `ingrass-par` workers.
+//! [`ConcurrentSolveService`] answers against snapshots and never borrows
+//! an engine, so a writer keeps applying update batches throughout. Any
+//! number of threads [`submit`](ConcurrentSolveService::submit) right-hand
+//! sides, each tagged with the snapshot it should be answered against;
+//! submissions against one snapshot coalesce into a multi-RHS admission
+//! group, and [`drain`](ConcurrentSolveService::drain) answers every
+//! pending group on the `ingrass-par` workers. A caller with one batch of
+//! its own submits it and drains.
 //!
 //! # Example
 //!
 //! ```
 //! use ingrass::{SetupConfig, SnapshotEngine};
-//! use ingrass_solve::{SolveConfig, SolveService};
+//! use ingrass_solve::{ConcurrentSolveService, SolveConfig};
 //! use ingrass_baselines::GrassSparsifier;
 //! use ingrass_gen::{grid_2d, WeightModel};
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = grid_2d(12, 12, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 7);
@@ -38,16 +37,18 @@
 //! // The publish already factored the sparsifier.
 //! let snap = engine.snapshot();
 //!
-//! let mut service = SolveService::new(SolveConfig::default());
-//! let l_g = g.laplacian();
+//! let service = ConcurrentSolveService::new(SolveConfig::default());
+//! let l_g = Arc::new(g.laplacian());
 //! let mut b = vec![0.0; g.num_nodes()];
 //! b[0] = 1.0;
 //! b[143] = -1.0;
 //!
-//! let (x, report) = service.solve(&snap, &l_g, &b)?;
-//! assert!(report.results[0].converged);
-//! assert_eq!(report.epoch, snap.epoch());
-//! assert!((x[0] - x[143]) > 0.0); // positive effective resistance
+//! service.submit(&snap, &l_g, b)?;
+//! let round = service.drain();
+//! let served = &round.served[0];
+//! assert!(served.result.converged);
+//! assert_eq!(served.epoch, snap.epoch());
+//! assert!((served.x[0] - served.x[143]) > 0.0); // positive effective resistance
 //! # Ok(())
 //! # }
 //! ```
@@ -58,9 +59,7 @@ mod concurrent;
 mod service;
 
 pub use concurrent::{ConcurrentSolveService, ConcurrentSolveStats, DrainReport, Served, Ticket};
-pub use service::{
-    unpreconditioned_cg, SolveConfig, SolveError, SolveReport, SolveService, SolveStats,
-};
+pub use service::{unpreconditioned_cg, SolveConfig, SolveError};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SolveError>;

@@ -444,20 +444,8 @@ impl PersistentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::snapshot_path;
+    use crate::snapshot::{list_snapshots, snapshot_path};
     use crate::wal::tests::{injected_fault, torn_rotation};
-    use ingrass::state::ServingState;
-    use std::time::Duration;
-
-    /// Setup wall-clock timings are the only fields a recovered engine may
-    /// legitimately disagree on.
-    fn normalized(mut s: ServingState) -> ServingState {
-        s.engine.setup_report.resistance_time = Duration::ZERO;
-        s.engine.setup_report.lrd_time = Duration::ZERO;
-        s.engine.setup_report.connectivity_time = Duration::ZERO;
-        s.engine.setup_report.total_time = Duration::ZERO;
-        s
-    }
 
     fn insert(u: usize, v: usize, weight: f64) -> UpdateOp {
         UpdateOp::Insert { u, v, weight }
@@ -494,14 +482,14 @@ mod tests {
             live.apply_batch(&[insert(2, 14, 0.5)], &ucfg).unwrap();
             live.apply_batch(&[UpdateOp::Delete { u: 0, v: 5 }], &ucfg)
                 .unwrap();
-            let (wal_seq, state) = (live.wal_seq(), normalized(live.engine().export_state()));
+            let (wal_seq, state) = (live.wal_seq(), live.engine().export_state());
             drop(live);
 
             let (recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
             assert_eq!(report.wal_seq, wal_seq, "whole_frame {whole_frame}");
             assert_eq!(report.replayed_batches, 3);
             assert_eq!(report.truncated_bytes, 0);
-            assert_eq!(normalized(recovered.engine().export_state()), state);
+            assert_eq!(recovered.engine().export_state(), state);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -527,13 +515,13 @@ mod tests {
         ));
         assert_eq!(live.wal_seq(), wal_seq, "a refused batch is not logged");
         live.apply_batch(&[insert(3, 17, 1.0)], &ucfg).unwrap();
-        let (wal_seq, state) = (live.wal_seq(), normalized(live.engine().export_state()));
+        let (wal_seq, state) = (live.wal_seq(), live.engine().export_state());
         drop(live);
 
         let (recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
         assert_eq!(report.wal_seq, wal_seq);
         assert_eq!(report.replayed_batches, 2);
-        assert_eq!(normalized(recovered.engine().export_state()), state);
+        assert_eq!(recovered.engine().export_state(), state);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -554,20 +542,20 @@ mod tests {
                 PersistentEngine::create(&dir, &h0, &SetupConfig::default(), policy).unwrap();
             live.apply_batch(&[insert(0, 5, 1.5)], &ucfg).unwrap();
             live.apply_batch(&[insert(2, 14, 0.5)], &ucfg).unwrap();
-            let (wal_seq, state) = (live.wal_seq(), normalized(live.engine().export_state()));
+            let (wal_seq, state) = (live.wal_seq(), live.engine().export_state());
             drop(live);
             torn_rotation(&dir, wal_seq + 1, len);
 
             let (mut recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
             assert_eq!(report.wal_seq, wal_seq, "{len}-byte torn header");
             assert_eq!(report.replayed_batches, 2);
-            assert_eq!(normalized(recovered.engine().export_state()), state);
+            assert_eq!(recovered.engine().export_state(), state);
             recovered.apply_batch(&[insert(3, 17, 1.0)], &ucfg).unwrap();
-            let state = normalized(recovered.engine().export_state());
+            let state = recovered.engine().export_state();
             drop(recovered);
             let (reopened, report) = PersistentEngine::open(&dir, policy).unwrap();
             assert_eq!(report.replayed_batches, 3);
-            assert_eq!(normalized(reopened.engine().export_state()), state);
+            assert_eq!(reopened.engine().export_state(), state);
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -603,12 +591,70 @@ mod tests {
             snapshot_path(&dir, live.engine().publishes()).exists(),
             "the checkpoint still due retries after the next record"
         );
-        let state = normalized(live.engine().export_state());
+        let state = live.engine().export_state();
         drop(live);
 
         let (recovered, report) = PersistentEngine::open(&dir, policy).unwrap();
         assert_eq!(report.replayed_batches, 0);
-        assert_eq!(normalized(recovered.engine().export_state()), state);
+        assert_eq!(recovered.engine().export_state(), state);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Setup durations export as zero, so two runs of one history write
+    /// the same files: every snapshot and every WAL segment.
+    #[test]
+    fn one_history_writes_byte_identical_stores() {
+        let h0 = ingrass_gen::grid_2d(
+            12,
+            12,
+            ingrass_gen::WeightModel::Uniform { lo: 0.5, hi: 2.0 },
+            7,
+        );
+        let batches: Vec<Vec<UpdateOp>> = (0..6usize)
+            .map(|k| {
+                let mut ops = vec![insert(k, 100 + 7 * k, 1.0 + k as f64 * 0.25)];
+                if k >= 3 {
+                    ops.push(UpdateOp::Delete {
+                        u: k - 3,
+                        v: 79 + 7 * k,
+                    });
+                }
+                ops
+            })
+            .collect();
+        let policy = StorePolicy::default()
+            .with_fsync(false)
+            .with_snapshot_every(2);
+        let write = |tag: &str| {
+            let dir = std::env::temp_dir()
+                .join(format!("ingrass-engine-bytes-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut store =
+                PersistentEngine::create(&dir, &h0, &SetupConfig::default(), policy).unwrap();
+            for (k, ops) in batches.iter().enumerate() {
+                store.apply_batch(ops, &UpdateConfig::default()).unwrap();
+                if k == 2 {
+                    store.resetup().unwrap();
+                }
+            }
+            assert!(list_snapshots(&dir).unwrap().len() >= 2);
+            let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                    (name, std::fs::read(&path).unwrap())
+                })
+                .collect();
+            files.sort();
+            std::fs::remove_dir_all(&dir).unwrap();
+            files
+        };
+        let (a, b) = (write("a"), write("b"));
+        assert_eq!(a.len(), b.len());
+        for ((name, x), (other, y)) in a.iter().zip(&b) {
+            assert_eq!(name, other);
+            assert!(x == y, "{name} differs between two runs of one history");
+        }
     }
 }

@@ -6,8 +6,8 @@
 //! graph (`L_G x = b`: voltage drops, commute distances, diffusion
 //! states). The inGRASS engine keeps the sparsifier current in `O(log N)`
 //! per edit, every batch publishes a snapshot carrying an exact factor of
-//! that sparsifier, and the `SolveService` answers each request with PCG
-//! preconditioned by the newest snapshot's factor:
+//! that sparsifier, and a `ConcurrentSolveService` answers each batch's
+//! requests with PCG preconditioned by the newest snapshot's factor:
 //!
 //! * each publish either **patches** the previous factor with rank-1
 //!   up/downdates or **refactors** it, as the engine's `FactorPolicy`
@@ -20,6 +20,7 @@
 
 use ingrass_repro::churn_to_update_ops;
 use ingrass_repro::prelude::*;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The "production" graph: a mid-sized power-grid stand-in.
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         }),
     )?;
-    let mut service = SolveService::new(SolveConfig::default());
+    let service = ConcurrentSolveService::new(SolveConfig::default());
 
     // The churn stream and the live original graph it edits.
     let churn = ChurnStream::paper_default(&g0, 42 ^ 0xc4a2);
@@ -63,36 +64,35 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let publish = update.publish.expect("a non-empty batch publishes");
         publish_seconds += publish.publish_seconds;
 
-        // 2. Solve requests against the *current* graph: a small multi-RHS
-        // batch of terminal-pair injections.
-        let l_g = g_live.to_graph().laplacian();
-        let rhss: Vec<Vec<f64>> = (0..3)
-            .map(|k| {
-                let mut b = vec![0.0; n];
-                b[(7 * i + k) % n] = 1.0;
-                b[(n / 2 + 13 * i + 5 * k) % n] = -1.0;
-                b
-            })
-            .collect();
-        let (xs, solve) = service.solve_batch(&engine.snapshot(), &l_g, &rhss)?;
-
-        let worst_residual = solve
-            .results
-            .iter()
-            .map(|r| r.residual_norm)
-            .fold(0.0f64, f64::max);
+        // 2. Solve requests against the *current* graph: three
+        // terminal-pair injections, drained as one multi-RHS group.
+        let l_g = Arc::new(g_live.to_graph().laplacian());
+        let snap = engine.snapshot();
+        for k in 0..3 {
+            let mut b = vec![0.0; n];
+            b[(7 * i + k) % n] = 1.0;
+            b[(n / 2 + 13 * i + 5 * k) % n] = -1.0;
+            service.submit(&snap, &l_g, b)?;
+        }
+        let (mut max_iterations, mut worst_residual) = (0, 0.0f64);
+        for s in service.drain().served {
+            max_iterations = max_iterations.max(s.result.iterations);
+            worst_residual = worst_residual.max(s.result.residual_norm);
+            // The potentials are real answers, not just convergence flags.
+            debug_assert!(s.x.iter().all(|v| v.is_finite()));
+        }
         println!(
             "{:>5} {:>4} {:>6} {:>8} {:>11.2} {:>10} {:>9.2e}{}",
             i,
             ops.len(),
-            solve.epoch,
+            snap.epoch(),
             if publish.factor_updated {
                 "patch"
             } else {
                 "refactor"
             },
             publish.publish_seconds * 1e3,
-            solve.max_iterations(),
+            max_iterations,
             worst_residual,
             if update.update.resetup.is_some() {
                 "   ← drift re-setup this batch"
@@ -100,14 +100,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ""
             },
         );
-        // The potentials are real answers, not just convergence flags.
-        debug_assert!(xs.iter().all(|x| x.iter().all(|v| v.is_finite())));
     }
 
     let stats = service.stats();
     println!(
-        "\nserved {} solves over {} batches: {} total PCG iterations",
-        stats.solves, stats.batches, stats.iterations_total
+        "\nserved {} solves over {} drains: {} total PCG iterations",
+        stats.served, stats.drains, stats.iterations_total
     );
     println!(
         "publishes: {} patched, {} refactored (incl. setup), {:.1} ms in churn publishes",

@@ -16,7 +16,7 @@
 //! | [`baselines`] | `ingrass-baselines` | GRASS-style from-scratch sparsifier, Random baseline |
 //! | [`metrics`] | `ingrass-metrics` | relative condition number, density, distortion stats |
 //! | [`par`] | `ingrass-par` | deterministic parallel primitives (`par_map`, `split_even`, `INGRASS_THREADS`) |
-//! | [`solve`] | `ingrass-solve` | sparsifier-preconditioned Laplacian solve services (multi-RHS PCG against published snapshots, concurrent snapshot serving) |
+//! | [`solve`] | `ingrass-solve` | sparsifier-preconditioned Laplacian solves: one concurrent service that batches submissions per published snapshot into blocked multi-RHS PCG |
 //! | [`store`] | `ingrass-store` | durable WAL + snapshot persistence, crash recovery via [`PersistentEngine`](store::PersistentEngine) |
 //!
 //! The [`prelude`] pulls in the names used by virtually every program, the
@@ -94,7 +94,7 @@ pub mod prelude {
     pub use ingrass_resistance::{
         ExactResistance, KrylovConfig, KrylovEmbedder, ResistanceEstimator,
     };
-    pub use ingrass_solve::{ConcurrentSolveService, SolveConfig, SolveReport, SolveService};
+    pub use ingrass_solve::{ConcurrentSolveService, SolveConfig};
     pub use ingrass_store::{PersistentEngine, RecoveryReport, StoreError, StorePolicy};
 }
 

@@ -97,7 +97,7 @@ fn four_readers_solve_while_writer_replays_200_churn_batches() {
 
     let mut publish_versions: Vec<u64> = Vec::new();
     std::thread::scope(|s| {
-        // 4 reader threads: each owns a SolveService and keeps answering
+        // 4 reader threads: each owns a solve service and keeps answering
         // seed-derived terminal-pair requests against whatever state is
         // current. The loop body runs at least once per reader (solve
         // first, check the stop flag after), so every reader contributes.
@@ -105,7 +105,7 @@ fn four_readers_solve_while_writer_replays_200_churn_batches() {
             let (state, done, torn, solves, epochs_served) =
                 (&state, &done, &torn, &solves, &epochs_served);
             s.spawn(move || {
-                let mut svc = SolveService::new(SolveConfig::default());
+                let svc = ConcurrentSolveService::new(SolveConfig::default());
                 let mut last_version = 0u64;
                 let mut k = 0u64;
                 loop {
@@ -134,19 +134,18 @@ fn four_readers_solve_while_writer_replays_200_churn_batches() {
                     let mut b = vec![0.0; n];
                     b[u] = 1.0;
                     b[v] = -1.0;
-                    let (xs, report) = svc
-                        .solve_batch(&snap, &lap, &[b.clone()])
-                        .expect("snapshot solve");
+                    svc.submit(&snap, &lap, b.clone()).expect("snapshot submit");
+                    let served = svc.drain().served.pop().expect("one request served");
                     assert!(
-                        report.all_converged(),
+                        served.result.converged,
                         "reader {reader} solve diverged at version {}",
                         snap.version()
                     );
-                    assert_eq!(report.epoch, snap.epoch());
+                    assert_eq!(served.epoch, snap.epoch());
                     // The residual check that matters: against the
                     // Laplacian of the very state the solve was served
                     // from, not whatever is current by now.
-                    let rel = relative_residual(&lap, &xs[0], &b);
+                    let rel = relative_residual(&lap, &served.x, &b);
                     assert!(
                         rel <= RESIDUAL_TOL,
                         "reader {reader}: residual {rel:.3e} at version {} epoch {}",

@@ -8,13 +8,11 @@
 //! [`DriftPolicy`]) and, with small `snapshot_every`, the recovery path
 //! exercises snapshot + WAL-tail splits at many different offsets.
 
-use ingrass_repro::core::state::ServingState;
 use ingrass_repro::prelude::*;
 use ingrass_repro::{churn_to_update_ops, test_seed};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ingrass-recovery-{tag}-{}", std::process::id()));
@@ -32,18 +30,6 @@ fn copy_store(src: &Path, dst: &Path) {
         let entry = entry.expect("dir entry");
         fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy store file");
     }
-}
-
-/// Strips the only fields that legitimately differ between a recovered
-/// engine and a from-scratch run of the same history: setup wall-clock
-/// timings. Everything else — edge slots, factor bits, ledger sums,
-/// epoch, publish sequence — must match exactly.
-fn normalized(mut s: ServingState) -> ServingState {
-    s.engine.setup_report.resistance_time = Duration::ZERO;
-    s.engine.setup_report.lrd_time = Duration::ZERO;
-    s.engine.setup_report.connectivity_time = Duration::ZERO;
-    s.engine.setup_report.total_time = Duration::ZERO;
-    s
 }
 
 fn fixture(seed: u64, drift: DriftPolicy) -> (Graph, SetupConfig, ChurnStream) {
@@ -106,8 +92,8 @@ proptest! {
             let (recovered, report) =
                 PersistentEngine::open(&crash_dir, policy).expect("recovery");
             prop_assert_eq!(
-                normalized(recovered.engine().export_state()),
-                normalized(straight.export_state()),
+                recovered.engine().export_state(),
+                straight.export_state(),
                 "prefix k={} diverged (recovery replayed {} batches on snapshot seq {})",
                 k + 1,
                 report.replayed_batches,
@@ -127,8 +113,8 @@ proptest! {
         copy_store(&live_dir, &crash_dir);
         let (recovered, _) = PersistentEngine::open(&crash_dir, policy).expect("final recovery");
         prop_assert_eq!(
-            normalized(recovered.engine().export_state()),
-            normalized(straight.export_state())
+            recovered.engine().export_state(),
+            straight.export_state()
         );
 
         let _ = fs::remove_dir_all(&live_dir);
@@ -164,10 +150,7 @@ fn recovery_round_trip_is_bit_exact() {
     copy_store(&live_dir, &crash_dir);
     let (recovered, report) = PersistentEngine::open(&crash_dir, policy).expect("recovery");
     assert!(report.recover_seconds >= 0.0);
-    assert_eq!(
-        normalized(recovered.engine().export_state()),
-        normalized(straight.export_state())
-    );
+    assert_eq!(recovered.engine().export_state(), straight.export_state());
 
     let _ = fs::remove_dir_all(&live_dir);
     let _ = fs::remove_dir_all(&crash_dir);

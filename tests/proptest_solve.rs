@@ -9,6 +9,7 @@ use ingrass_repro::prelude::*;
 use ingrass_repro::solve::unpreconditioned_cg;
 use ingrass_repro::{churn_to_update_ops, test_seed};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A random workload graph: a weighted grid torus-ed with random chords,
 /// ill-conditioned enough that plain CG has real work to do.
@@ -77,31 +78,32 @@ proptest! {
 
         // PCG with the sparsifier factor vs plain CG, both to 1e-8 on the
         // same consistent system over the *original* graph.
-        let l_g = g.laplacian();
+        let l_g = Arc::new(g.laplacian());
         let n = g.num_nodes();
         let mut b = vec![0.0; n];
         b[n / 3] = 1.0;
         b[n - 1] = -1.0;
         let opts = CgOptions::default().with_rel_tol(1e-8).with_max_iters(20_000);
 
-        let mut svc = SolveService::new(SolveConfig {
+        let svc = ConcurrentSolveService::new(SolveConfig {
             cg: opts.clone(),
             ..Default::default()
         });
-        let (x, report) = svc.solve(&snap, &l_g, &b).expect("service solve");
-        prop_assert!(report.all_converged(), "pcg failed: {:?}", report.results);
+        svc.submit(&snap, &l_g, b.clone()).expect("service submit");
+        let served = svc.drain().served.pop().expect("one request served");
+        prop_assert!(served.result.converged, "pcg failed: {:?}", served.result);
 
         let (_, cg) = unpreconditioned_cg(&l_g, &b, &opts);
         prop_assert!(cg.converged, "plain cg failed: {cg:?}");
         prop_assert!(
-            report.max_iterations() < cg.iterations,
+            served.result.iterations < cg.iterations,
             "pcg {} iterations did not beat cg {}",
-            report.max_iterations(),
+            served.result.iterations,
             cg.iterations
         );
 
         // And the solution actually solves the system.
-        let r = l_g.matvec_alloc(&x);
+        let r = l_g.matvec_alloc(&served.x);
         let err = r.iter().zip(&b).map(|(a, c)| (a - c).abs()).fold(0.0f64, f64::max);
         prop_assert!(err < 1e-5, "residual {err}");
     }

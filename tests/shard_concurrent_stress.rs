@@ -90,7 +90,7 @@ fn stress(threads: Option<usize>) {
         for (reader_id, reader) in reader_handles.iter().enumerate() {
             let (laps, done, torn, solves) = (&laps, &done, &torn, &solves);
             s.spawn(move || {
-                let mut svc = SolveService::new(SolveConfig::default());
+                let svc = ConcurrentSolveService::new(SolveConfig::default());
                 let mut last_sequence = 0u64;
                 let mut k = 0u64;
                 loop {
@@ -115,15 +115,14 @@ fn stress(threads: Option<usize>) {
                     let mut b = vec![0.0; n];
                     b[u] = 1.0;
                     b[v] = -1.0;
-                    let (xs, report) = svc
-                        .solve_batch(&snap, &lap, std::slice::from_ref(&b))
-                        .expect("snapshot solve");
+                    svc.submit(&snap, &lap, b.clone()).expect("snapshot submit");
+                    let served = svc.drain().served.pop().expect("one request served");
                     assert!(
-                        report.all_converged(),
+                        served.result.converged,
                         "reader {reader_id} diverged at sequence {}",
                         snap.sequence()
                     );
-                    let rel = relative_residual(&lap, &xs[0], &b);
+                    let rel = relative_residual(&lap, &served.x, &b);
                     assert!(
                         rel <= RESIDUAL_TOL,
                         "reader {reader_id}: residual {rel:.3e} at sequence {} epoch {}",

@@ -90,21 +90,12 @@ fn report_print(report: &ShardedBatchReport) -> ReportPrint {
     )
 }
 
-/// Blanks the measurement and configuration fields of an exported state
-/// that legitimately vary run-to-run — the thread override (configuration,
-/// not a result) and the setup-phase wall-clock timings each shard engine
-/// retains — so the equality below covers exactly the deterministic state.
+/// Blanks the thread override of an exported state (configuration, not a
+/// result), so the equality below covers exactly the deterministic state.
 fn normalized(
     mut state: ingrass_repro::core::state::ShardedState,
 ) -> ingrass_repro::core::state::ShardedState {
     state.threads = None;
-    for shard in &mut state.shards {
-        let r = &mut shard.setup_report;
-        r.resistance_time = std::time::Duration::ZERO;
-        r.lrd_time = std::time::Duration::ZERO;
-        r.connectivity_time = std::time::Duration::ZERO;
-        r.total_time = std::time::Duration::ZERO;
-    }
     state
 }
 

@@ -16,6 +16,7 @@
 use ingrass_repro::gen::ShardSkew;
 use ingrass_repro::linalg::CsrMatrix;
 use ingrass_repro::prelude::*;
+use std::sync::Arc;
 
 /// Same explicit residual tolerance the concurrent-serving suite pins:
 /// looser than PCG's 1e-8 target so the check is about correctness of the
@@ -118,7 +119,7 @@ fn run_parity(seed: u64) {
         ..Default::default()
     };
 
-    let mut svc = SolveService::new(SolveConfig::default());
+    let svc = ConcurrentSolveService::new(SolveConfig::default());
     let mut current = DynGraph::from_graph(&g0);
     for (i, batch) in churn.batches().iter().enumerate() {
         let ops = churn_to_update_ops(batch);
@@ -141,16 +142,16 @@ fn run_parity(seed: u64) {
         sharded.publish().unwrap();
         let snap = sharded.snapshot();
         assert!(snap.verify_checksum(), "torn sharded snapshot at batch {i}");
-        let lap = current.to_graph().laplacian();
+        let lap = Arc::new(current.to_graph().laplacian());
         let b = seeded_rhs(n, seed ^ ((i as u64) << 8));
-        let (xs, solve_report) = svc
-            .solve_batch(&snap, &lap, std::slice::from_ref(&b))
-            .expect("stitched snapshot solve");
+        svc.submit(&snap, &lap, b.clone())
+            .expect("stitched snapshot submit");
+        let served = svc.drain().served.pop().expect("one request served");
         assert!(
-            solve_report.all_converged(),
+            served.result.converged,
             "stitched PCG failed to converge at batch {i}"
         );
-        let res = relative_residual(&lap, &xs[0], &b);
+        let res = relative_residual(&lap, &served.x, &b);
         assert!(
             res <= RESIDUAL_TOL,
             "stitched-solve residual {res:.3e} exceeds {RESIDUAL_TOL:.0e} at batch {i} (seed {seed})"

@@ -5,10 +5,11 @@
 //! engine mutates.
 
 use ingrass_repro::graph::{kruskal_tree, TreeObjective, TreePrecond};
-use ingrass_repro::linalg::{pcg, CsrMatrix, JacobiPrecond, Preconditioner};
+use ingrass_repro::linalg::{pcg, CgResult, CsrMatrix, JacobiPrecond, Preconditioner};
 use ingrass_repro::prelude::*;
-use ingrass_repro::solve::unpreconditioned_cg;
+use ingrass_repro::solve::{unpreconditioned_cg, DrainReport};
 use ingrass_repro::test_seed;
+use std::sync::Arc;
 
 /// The suite cases at 5 % of the paper's node counts, with a solve-grade
 /// sparsifier density.
@@ -16,13 +17,13 @@ const SCALE: f64 = 0.05;
 const SOLVE_DENSITY: f64 = 0.30;
 
 /// The case's graph, its Laplacian, and a solve-grade sparsifier of it.
-fn solve_fixture(case: TestCase, seed: u64) -> (Graph, CsrMatrix, Graph) {
+fn solve_fixture(case: TestCase, seed: u64) -> (Graph, Arc<CsrMatrix>, Graph) {
     let g = case.build(SCALE, seed);
     let h0 = GrassSparsifier::default()
         .by_offtree_density(&g, SOLVE_DENSITY)
         .expect("solve-grade sparsifier")
         .graph;
-    let l_g = g.laplacian();
+    let l_g = Arc::new(g.laplacian());
     (g, l_g, h0)
 }
 
@@ -35,6 +36,26 @@ fn pair_rhs(n: usize, u: usize, v: usize) -> Vec<f64> {
     b[u] = 1.0;
     b[v] = -1.0;
     b
+}
+
+/// Submits every right-hand side to `svc` against `snap`, then drains
+/// them in one round.
+fn serve(
+    svc: &ConcurrentSolveService,
+    snap: &Arc<SparsifierSnapshot>,
+    l_g: &Arc<CsrMatrix>,
+    rhss: &[Vec<f64>],
+) -> DrainReport {
+    for b in rhss {
+        svc.submit(snap, l_g, b.clone()).expect("submit");
+    }
+    let round = svc.drain();
+    assert_eq!(round.served.len(), rhss.len());
+    round
+}
+
+fn results(round: &DrainReport) -> Vec<&CgResult> {
+    round.served.iter().map(|s| &s.result).collect()
 }
 
 #[test]
@@ -50,22 +71,22 @@ fn preconditioned_pcg_needs_at_most_a_third_of_cg_iterations() {
         let snap = setup(&h0, seed).snapshot();
         let n = g.num_nodes();
         let rhss = vec![pair_rhs(n, n / 7, n - 3), pair_rhs(n, 1, n / 2)];
-        let mut svc = SolveService::new(SolveConfig::default());
-        let (_, report) = svc.solve_batch(&snap, &l_g, &rhss).expect("pcg batch");
+        let svc = ConcurrentSolveService::new(SolveConfig::default());
+        let round = serve(&svc, &snap, &l_g, &rhss);
         assert!(
-            report.all_converged(),
+            round.all_converged(),
             "{}: {:?}",
             case.name(),
-            report.results
+            results(&round)
         );
-        for (b, pcg_res) in rhss.iter().zip(&report.results) {
+        for (b, served) in rhss.iter().zip(&round.served) {
             let (_, cg) = unpreconditioned_cg(&l_g, b, &SolveConfig::default().cg);
             assert!(cg.converged, "{}: plain CG failed", case.name());
             assert!(
-                pcg_res.iterations * 3 <= cg.iterations,
+                served.result.iterations * 3 <= cg.iterations,
                 "{}: pcg {} iterations vs cg {} — ratio below 3x",
                 case.name(),
-                pcg_res.iterations,
+                served.result.iterations,
                 cg.iterations
             );
         }
@@ -96,14 +117,13 @@ fn snapshot_factor_needs_no_more_iterations_than_jacobi_or_tree_pcg() {
         ("mono", setup(&h0, seed).snapshot()),
         ("sharded", sharded.snapshot()),
     ] {
-        let mut svc = SolveService::new(SolveConfig::default());
-        let (_, report) = svc.solve_batch(&snap, &l_g, &rhss).expect("batch");
+        let svc = ConcurrentSolveService::new(SolveConfig::default());
+        let round = serve(&svc, &snap, &l_g, &rhss);
         assert!(
-            report.all_converged(),
+            round.all_converged(),
             "{label} service failed to converge: {:?}",
-            report.results
+            results(&round)
         );
-        assert_eq!(report.factor_nnz, snap.preconditioner().factor_nnz());
 
         let jacobi = JacobiPrecond::from_matrix(snap.laplacian());
         let tree = kruskal_tree(snap.graph(), TreeObjective::MaxWeight).expect("spanning tree");
@@ -115,7 +135,7 @@ fn snapshot_factor_needs_no_more_iterations_than_jacobi_or_tree_pcg() {
                 // Pair injections sum to zero, so they are already the
                 // projected right-hand sides the service solves.
                 let mut x = vec![0.0; n];
-                let res = pcg(&l_g, b, &mut x, precond, Some(&ones), &opts);
+                let res = pcg(l_g.as_ref(), b, &mut x, precond, Some(&ones), &opts);
                 assert!(
                     res.converged,
                     "{label} {name} PCG failed to converge: {res:?}"
@@ -123,9 +143,9 @@ fn snapshot_factor_needs_no_more_iterations_than_jacobi_or_tree_pcg() {
                 iterations += res.iterations;
             }
             assert!(
-                report.total_iterations() <= iterations,
+                round.total_iterations() <= iterations,
                 "{label}: service {} iterations vs {name} {iterations}",
-                report.total_iterations()
+                round.total_iterations()
             );
         }
     }
@@ -140,21 +160,19 @@ fn engine_stats_stay_accessible_between_solves() {
     let (g, l_g, h0) = solve_fixture(TestCase::Fe4elt2, seed);
     let n = g.num_nodes();
     let mut engine = setup(&h0, seed);
-    let mut svc = SolveService::new(SolveConfig::default());
+    let svc = ConcurrentSolveService::new(SolveConfig::default());
     let stream = InsertionStream::paper_default(&g, seed ^ 0x57ea);
     let first = engine.snapshot();
 
     let mut epochs = Vec::new();
     for batch in stream.batches().iter().take(3) {
         let snap = engine.snapshot();
-        let (_, report) = svc
-            .solve(&snap, &l_g, &pair_rhs(n, 0, n - 1))
-            .expect("solve");
-        assert!(report.all_converged());
+        let round = serve(&svc, &snap, &l_g, &[pair_rhs(n, 0, n - 1)]);
+        assert!(round.all_converged());
         // Stats accessors between solves, while the snapshot is held.
         let inner = engine.engine();
         epochs.push((inner.epoch(), inner.resetups(), inner.version()));
-        assert_eq!(report.epoch, inner.epoch());
+        assert_eq!(round.served[0].epoch, inner.epoch());
         // And a mutation while the snapshot is still held.
         let ops: Vec<UpdateOp> = batch
             .iter()
@@ -165,14 +183,12 @@ fn engine_stats_stay_accessible_between_solves() {
             .expect("update between solves");
     }
     assert_eq!(epochs.len(), 3);
-    assert_eq!(svc.stats().batches, 3);
+    assert_eq!((svc.stats().drains, svc.stats().served), (3, 3));
 
     engine.resetup().expect("resetup");
-    let (_, report) = svc
-        .solve(&first, &l_g, &pair_rhs(n, 2, n / 2))
-        .expect("held snapshot solve");
-    assert!(report.all_converged());
-    assert_eq!(report.epoch, first.epoch());
+    let round = serve(&svc, &first, &l_g, &[pair_rhs(n, 2, n / 2)]);
+    assert!(round.all_converged());
+    assert_eq!(round.served[0].epoch, first.epoch());
     assert_eq!(
         first.epoch() + 1,
         engine.engine().epoch(),

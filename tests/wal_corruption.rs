@@ -5,12 +5,10 @@
 //! logged batches) or fails loudly — it never decodes damaged bytes into
 //! a state that no prefix of the history ever produced.
 
-use ingrass_repro::core::state::ServingState;
 use ingrass_repro::prelude::*;
 use ingrass_repro::{churn_to_update_ops, test_seed};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ingrass-walflip-{tag}-{}", std::process::id()));
@@ -26,16 +24,6 @@ fn copy_store(src: &Path, dst: &Path) {
         let entry = entry.expect("dir entry");
         fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy store file");
     }
-}
-
-/// Wall-clock setup timings are the one legitimate difference between
-/// runs; zero them so `==` means "same history".
-fn normalized(mut s: ServingState) -> ServingState {
-    s.engine.setup_report.resistance_time = Duration::ZERO;
-    s.engine.setup_report.lrd_time = Duration::ZERO;
-    s.engine.setup_report.connectivity_time = Duration::ZERO;
-    s.engine.setup_report.total_time = Duration::ZERO;
-    s
 }
 
 #[test]
@@ -71,14 +59,14 @@ fn every_single_bit_flip_truncates_or_fails_loudly() {
 
     // The legal outcomes: a straight run of every batch prefix.
     let mut straight = SnapshotEngine::setup(&h0, &cfg).expect("straight setup");
-    let mut prefix_states = vec![normalized(straight.export_state())];
+    let mut prefix_states = vec![straight.export_state()];
     for batch in churn.batches() {
         let ops = churn_to_update_ops(batch);
         persistent
             .apply_batch(&ops, &ucfg)
             .expect("persistent batch");
         straight.apply_batch(&ops, &ucfg).expect("straight batch");
-        prefix_states.push(normalized(straight.export_state()));
+        prefix_states.push(straight.export_state());
     }
     drop(persistent);
 
@@ -116,7 +104,7 @@ fn every_single_bit_flip_truncates_or_fails_loudly() {
             match PersistentEngine::open(&flip_dir, policy) {
                 Err(_) => loud_failures += 1, // loud is always legal
                 Ok((recovered, report)) => {
-                    let state = normalized(recovered.engine().export_state());
+                    let state = recovered.engine().export_state();
                     let matched = prefix_states.iter().position(|p| *p == state);
                     assert!(
                         matched.is_some(),
