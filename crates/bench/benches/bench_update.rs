@@ -2,7 +2,7 @@
 //! headline O(log N)-per-edge claim (Fig. 4 at micro scale).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use ingrass::{InGrassEngine, SetupConfig, UpdateConfig};
+use ingrass::{InGrassEngine, SetupConfig, SnapshotEngine, UpdateConfig};
 use ingrass_baselines::GrassSparsifier;
 use ingrass_gen::{InsertionStream, StreamConfig, TestCase};
 
@@ -78,5 +78,34 @@ fn bench_per_edge_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_update_batch, bench_per_edge_scaling);
+/// The fixed cost every publish pays, on perfbench `serve-edit`'s instance
+/// at seed 42 (a ~5.2 k-node Delaunay graph, 30 % off-tree GRASS
+/// sparsifier): `SnapshotEngine::publish` with no pending deltas, so the
+/// factor tier is an empty patch and what is timed is the graph freeze,
+/// the checksum and the factor clone. Twenty samples plus the warm-up
+/// stay under the 256-publish refactor backstop, so no sample rebuilds.
+fn bench_publish(c: &mut Criterion) {
+    let mut group = c.benchmark_group("publish");
+    group.sample_size(20);
+    let seed = 42;
+    let g0 = TestCase::DelaunayN18.build(0.02, seed);
+    let h0 = GrassSparsifier::default()
+        .by_offtree_density(&g0, 0.30)
+        .expect("sparsify")
+        .graph;
+    let mut engine =
+        SnapshotEngine::setup(&h0, &SetupConfig::default().with_seed(seed)).expect("setup");
+    let label = format!("n_{}_m_{}", h0.num_nodes(), h0.num_edges());
+    group.bench_function(format!("no_delta/{label}"), |b| {
+        b.iter(|| engine.publish().expect("publish"))
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_update_batch,
+    bench_per_edge_scaling,
+    bench_publish
+);
 criterion_main!(benches);

@@ -750,7 +750,7 @@ impl InGrassEngine {
     /// factor (disconnected or numerically degenerate sparsifier — cannot
     /// happen while the engine's connectivity invariant holds).
     pub fn preconditioner(&self) -> Result<crate::SparsifierPrecond> {
-        crate::SparsifierPrecond::build(&self.h, self.epoch(), Some(&self.hierarchy))
+        crate::SparsifierPrecond::build(&self.h, self.epoch(), &self.hierarchy)
     }
 
     /// Exports the engine's complete observable state for persistence.

@@ -34,10 +34,11 @@
 //! * **Serving** ([`SnapshotEngine`], beyond the paper): a single-writer /
 //!   many-readers split over the engine. Each state-changing batch
 //!   publishes an immutable, epoch-tagged [`SparsifierSnapshot`]
-//!   (`Arc`-shared sparsifier + Laplacian CSR + grounded Cholesky factor +
-//!   resistance summary) that any number of reader threads solve and query
-//!   against while the writer keeps mutating — see the
-//!   [`snapshot`](SnapshotEngine) module docs for the concurrency model.
+//!   (`Arc`-shared frozen sparsifier graph + its exact grounded Cholesky
+//!   factor + a checksum over the tag and the graph) that any number of
+//!   reader threads solve and query against while the writer keeps
+//!   mutating — see the [`snapshot`](SnapshotEngine) module docs for the
+//!   concurrency model.
 //!
 //! # Quickstart
 //!
@@ -97,8 +98,8 @@ pub use shard::{
     BoundaryGraph, ShardRouting, ShardedBatchReport, ShardedConfig, ShardedEngine, StitchedPrecond,
 };
 pub use snapshot::{
-    BatchPublishReport, FactorPolicy, PublishReport, ResistanceSummary, SnapshotEngine,
-    SnapshotPrecond, SnapshotReader, SparsifierSnapshot,
+    BatchPublishReport, FactorPolicy, PublishReport, SnapshotEngine, SnapshotPrecond,
+    SnapshotReader, SparsifierSnapshot,
 };
 
 /// Crate-wide result alias.

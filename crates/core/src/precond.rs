@@ -80,36 +80,26 @@ pub struct SparsifierPrecond {
 }
 
 impl SparsifierPrecond {
-    /// Factors the grounded Laplacian of the given sparsifier.
+    /// Factors the grounded Laplacian of the given sparsifier under the
+    /// elimination ordering [`lrd_nested_dissection_order`] derives from
+    /// `hierarchy` (the engine's decomposition of the same node set). A
+    /// one-node sparsifier grounds to an empty matrix, so its ordering and
+    /// factor are empty.
     ///
     /// # Errors
     /// [`InGrassError::BadSparsifier`] if the grounded Laplacian is not
     /// positive definite (the sparsifier is disconnected or numerically
     /// degenerate).
-    /// With a hierarchy, the elimination ordering is
-    /// [`lrd_nested_dissection_order`] (the LRD cluster tree as a nested
-    /// dissection tree); without one it falls back to the AMD-lite
-    /// minimum-degree ordering.
-    pub(crate) fn build(
-        h: &DynGraph,
-        epoch: u64,
-        hierarchy: Option<&LrdHierarchy>,
-    ) -> Result<Self> {
+    pub(crate) fn build(h: &DynGraph, epoch: u64, hierarchy: &LrdHierarchy) -> Result<Self> {
         let n = h.num_nodes();
         let ground = 0usize;
         let grounded = grounded_laplacian(h, ground);
-        let chol = match hierarchy.filter(|hier| hier.num_nodes() == n && n > 1) {
-            Some(hier) => {
-                let order = lrd_nested_dissection_order(
-                    hier,
-                    h.edges_iter().map(|(_, e)| (e.u.index(), e.v.index())),
-                    Some(ground),
-                );
-                SparseCholesky::factor_with_order(&grounded, &order)
-            }
-            None => SparseCholesky::factor(&grounded),
-        }
-        .map_err(|e| {
+        let order = lrd_nested_dissection_order(
+            hierarchy,
+            h.edges_iter().map(|(_, e)| (e.u.index(), e.v.index())),
+            Some(ground),
+        );
+        let chol = SparseCholesky::factor_with_order(&grounded, &order).map_err(|e| {
             InGrassError::BadSparsifier(format!("sparsifier Laplacian is not SPD grounded: {e}"))
         })?;
         Ok(Self::from_factor(n, ground, epoch, chol, None))
@@ -322,11 +312,6 @@ impl SparsifierPrecond {
     pub fn factor_flops(&self) -> f64 {
         self.chol.flops_estimate()
     }
-
-    /// The node whose row/column was grounded out.
-    pub fn ground_node(&self) -> usize {
-        self.ground
-    }
 }
 
 impl Preconditioner for SparsifierPrecond {
@@ -468,7 +453,7 @@ mod tests {
         let shard_of: Vec<u32> = (0..100u32)
             .map(|v| (v % 10) / 5 + 2 * ((v / 10) / 5))
             .collect();
-        let pre = StitchedPrecond::build(&h, &shard_of, 4, 0, 1).unwrap();
+        let pre = StitchedPrecond::build(&h, &shard_of, 4, 1).unwrap();
         assert!(pre.boundary_nodes() > 0);
         assert_blocked_paths_match(&g.laplacian(), &pre);
     }
@@ -504,6 +489,32 @@ mod tests {
             "exact preconditioner took {} iters",
             res.iterations
         );
+    }
+
+    /// The smallest sparsifiers: one node grounds to an empty factor that
+    /// maps every residual to zero; two nodes leave one pivot, so the
+    /// solve of `L_H z = e_1 − e_0` is exactly `z_1 = 1/w`.
+    #[test]
+    fn one_and_two_node_sparsifiers_solve_exactly() {
+        let single = Graph::from_edges(1, &[]).unwrap();
+        let pre = InGrassEngine::setup(&single, &SetupConfig::default())
+            .unwrap()
+            .preconditioner()
+            .unwrap();
+        assert_eq!(pre.factor_nnz(), 0);
+        let mut z = [1.0];
+        pre.apply(&[0.5], &mut z);
+        assert_eq!(z, [0.0]);
+
+        let pair = Graph::from_edges(2, &[(0, 1, 4.0)]).unwrap();
+        let pre = InGrassEngine::setup(&pair, &SetupConfig::default())
+            .unwrap()
+            .preconditioner()
+            .unwrap();
+        assert_eq!(pre.factor_nnz(), 1);
+        let mut z = [1.0, 1.0];
+        pre.apply(&[-1.0, 1.0], &mut z);
+        assert_eq!(z, [0.0, 0.25]);
     }
 
     #[test]

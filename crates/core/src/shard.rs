@@ -201,7 +201,7 @@ pub struct ShardedEngine {
     shard_cfg: ShardedConfig,
     /// The current epoch's global hierarchy (routing + resistance bounds
     /// for boundary re-links); rebuilt at every global re-setup.
-    hierarchy: Arc<LrdHierarchy>,
+    hierarchy: LrdHierarchy,
     routing: ShardRouting,
     engines: Vec<InGrassEngine>,
     boundary: BoundaryGraph,
@@ -213,7 +213,6 @@ pub struct ShardedEngine {
     version: u64,
     instance_id: u64,
     updates_applied: usize,
-    publishes_rebuilt: u64,
     boundary_relinks: u64,
     /// Boundary weight baseline of the epoch: the total at the last
     /// (re)setup plus everything inserted or re-linked since — the
@@ -279,13 +278,13 @@ impl ShardedEngine {
     pub fn setup(h0: &Graph, cfg: &SetupConfig, shard_cfg: &ShardedConfig) -> Result<Self> {
         shard_cfg.validate()?;
         let edge_resistance = InGrassEngine::estimate_edge_resistances(h0, cfg)?;
-        let hierarchy = Arc::new(LrdHierarchy::build(
+        let hierarchy = LrdHierarchy::build(
             h0,
             &edge_resistance,
             cfg.initial_diameter,
             cfg.diameter_growth,
             cfg.max_levels,
-        )?);
+        )?;
         let routing = ShardRouting::build(&hierarchy, h0, shard_cfg.shards);
         let (engines, boundary) = Self::split(h0, &routing, cfg)?;
         let s = routing.shards();
@@ -295,17 +294,7 @@ impl ShardedEngine {
             .threads
             .unwrap_or_else(ingrass_par::num_threads)
             .max(1);
-        let snap = build_snapshot(
-            instance_id,
-            0,
-            0,
-            1,
-            &routing,
-            &engines,
-            &boundary,
-            &hierarchy,
-            threads,
-        )?;
+        let snap = build_snapshot(instance_id, 0, 0, 1, &routing, &engines, &boundary, threads)?;
         Ok(ShardedEngine {
             setup_cfg: cfg.clone(),
             shard_cfg: *shard_cfg,
@@ -319,7 +308,6 @@ impl ShardedEngine {
             version: 0,
             instance_id,
             updates_applied: 0,
-            publishes_rebuilt: 1,
             boundary_relinks: 0,
             boundary_epoch_weight,
             boundary_deleted_weight: 0.0,
@@ -587,13 +575,13 @@ impl ShardedEngine {
     pub fn resetup(&mut self) -> Result<()> {
         let graph = assemble_graph(&self.routing, &self.engines, &self.boundary)?;
         let edge_resistance = InGrassEngine::estimate_edge_resistances(&graph, &self.setup_cfg)?;
-        let hierarchy = Arc::new(LrdHierarchy::build(
+        let hierarchy = LrdHierarchy::build(
             &graph,
             &edge_resistance,
             self.setup_cfg.initial_diameter,
             self.setup_cfg.diameter_growth,
             self.setup_cfg.max_levels,
-        )?);
+        )?;
         let routing = ShardRouting::build(&hierarchy, &graph, self.shard_cfg.shards);
         let (engines, boundary) = Self::split(&graph, &routing, &self.setup_cfg)?;
         self.hierarchy = hierarchy;
@@ -627,11 +615,9 @@ impl ShardedEngine {
             &self.routing,
             &self.engines,
             &self.boundary,
-            &self.hierarchy,
             self.threads(),
         )?);
         self.sequence += 1;
-        self.publishes_rebuilt += 1;
         let report = PublishReport {
             epoch: snap.epoch(),
             version: snap.version(),
@@ -639,10 +625,7 @@ impl ShardedEngine {
             publish_seconds: timer.total().as_secs_f64(),
             factor_nnz: snap.preconditioner().factor_nnz(),
             factor_flops: snap.preconditioner().factor_flops(),
-            edges: snap.resistance_summary().edges,
             factor_updated: false,
-            factor_updates: 0,
-            factor_refactors: self.publishes_rebuilt,
             shard: Some(self.shard_stats()),
         };
         self.cell.store(snap);
@@ -800,7 +783,7 @@ impl ShardedEngine {
             threads: state.threads,
         };
         shard_cfg.validate()?;
-        let hierarchy = Arc::new(LrdHierarchy::from_levels(state.levels)?);
+        let hierarchy = LrdHierarchy::from_levels(state.levels)?;
         if hierarchy.num_nodes() != state.shard_of.len() {
             return Err(InGrassError::InvalidConfig(format!(
                 "hierarchy labels {} nodes, routing covers {}",
@@ -854,7 +837,6 @@ impl ShardedEngine {
             &routing,
             &engines,
             &boundary,
-            &hierarchy,
             threads,
         )?;
         Ok(ShardedEngine {
@@ -870,7 +852,6 @@ impl ShardedEngine {
             version: state.version,
             instance_id,
             updates_applied: state.updates_applied,
-            publishes_rebuilt: state.sequence,
             boundary_relinks: state.boundary_relinks,
             boundary_epoch_weight: state.boundary_epoch_weight,
             boundary_deleted_weight: state.boundary_deleted_weight,
@@ -892,26 +873,19 @@ fn build_snapshot(
     routing: &ShardRouting,
     engines: &[InGrassEngine],
     boundary: &BoundaryGraph,
-    hierarchy: &Arc<LrdHierarchy>,
     threads: usize,
 ) -> Result<SparsifierSnapshot> {
     let graph = assemble_graph(routing, engines, boundary)?;
-    let stitched = StitchedPrecond::build(
-        &graph,
-        routing.shard_of_slice(),
-        routing.shards(),
-        epoch,
-        threads,
-    )?;
-    SparsifierSnapshot::assemble(
+    let stitched =
+        StitchedPrecond::build(&graph, routing.shard_of_slice(), routing.shards(), threads)?;
+    Ok(SparsifierSnapshot::assemble(
         instance_id,
         epoch,
         version,
         sequence,
         graph,
         SnapshotPrecond::Sharded(stitched),
-        Arc::clone(hierarchy),
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -973,7 +947,7 @@ mod tests {
         let mut z = vec![0.0; n];
         snap.preconditioner().apply(&r, &mut z);
         let mut lz = vec![0.0; n];
-        snap.laplacian().matvec(&z, &mut lz);
+        snap.graph().laplacian().matvec(&z, &mut lz);
         for i in 1..n {
             assert!(
                 (lz[i] - (r[i] - r[0])).abs() < 1e-7 || (lz[i] - r[i]).abs() < 1e-7,

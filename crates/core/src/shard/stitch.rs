@@ -38,7 +38,6 @@ const CLASS_INTERIOR: u8 = 2;
 #[derive(Debug, Clone)]
 pub struct StitchedPrecond {
     n: usize,
-    epoch: u64,
     /// Global boundary nodes, ascending (their index is the boundary
     /// coordinate of the dense block).
     boundary: Vec<u32>,
@@ -77,7 +76,6 @@ impl StitchedPrecond {
         graph: &Graph,
         shard_of: &[u32],
         shards: usize,
-        epoch: u64,
         threads: usize,
     ) -> Result<StitchedPrecond> {
         let n = graph.num_nodes();
@@ -136,7 +134,6 @@ impl StitchedPrecond {
 
         Ok(StitchedPrecond {
             n,
-            epoch,
             boundary,
             interiors,
             chols: factors,
@@ -147,12 +144,6 @@ impl StitchedPrecond {
         })
     }
 
-    /// The coordinator epoch (global re-setup count) this factor was
-    /// built at — the staleness key, mirroring `SparsifierPrecond::epoch`.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Number of shards stitched.
     pub fn shards(&self) -> usize {
         self.interiors.len()
@@ -161,11 +152,6 @@ impl StitchedPrecond {
     /// Number of boundary nodes (the dense block's dimension).
     pub fn boundary_nodes(&self) -> usize {
         self.boundary.len()
-    }
-
-    /// The grounded node (always node 0, as for the mono preconditioner).
-    pub fn ground_node(&self) -> usize {
-        0
     }
 
     /// Stored factor entries: per-shard sparse factors plus the dense
@@ -551,7 +537,7 @@ mod tests {
     #[test]
     fn stitched_solve_is_exact_for_its_own_laplacian() {
         let (g, shard_of) = two_blocks();
-        let pre = StitchedPrecond::build(&g, &shard_of, 2, 0, 1).unwrap();
+        let pre = StitchedPrecond::build(&g, &shard_of, 2, 1).unwrap();
         assert_eq!(pre.shards(), 2);
         assert_eq!(pre.boundary_nodes(), 4); // nodes 1, 3, 5, 6
         let l = g.laplacian();
@@ -575,7 +561,7 @@ mod tests {
         // The stitched apply must equal the exact grounded solve, i.e.
         // L·z = r on the ground-complement (up to the grounded node).
         let (g, shard_of) = two_blocks();
-        let pre = StitchedPrecond::build(&g, &shard_of, 2, 0, 1).unwrap();
+        let pre = StitchedPrecond::build(&g, &shard_of, 2, 1).unwrap();
         let l = g.laplacian();
         let n = g.num_nodes();
         let mut r = vec![0.0; n];
@@ -602,8 +588,8 @@ mod tests {
     #[test]
     fn thread_width_does_not_change_the_factor() {
         let (g, shard_of) = two_blocks();
-        let p1 = StitchedPrecond::build(&g, &shard_of, 2, 0, 1).unwrap();
-        let p4 = StitchedPrecond::build(&g, &shard_of, 2, 0, 4).unwrap();
+        let p1 = StitchedPrecond::build(&g, &shard_of, 2, 1).unwrap();
+        let p4 = StitchedPrecond::build(&g, &shard_of, 2, 4).unwrap();
         let n = g.num_nodes();
         let r: Vec<f64> = (0..n).map(|i| (i as f64 + 1.0).recip()).collect();
         let (mut z1, mut z4) = (vec![0.0; n], vec![0.0; n]);
@@ -676,7 +662,7 @@ mod tests {
         for ((g, shard_of), shards) in [(two_blocks(), 2), (delaunay_shards(), 4)] {
             let want = dense_bits(&reference_schur(&g, &shard_of, shards));
             for threads in [1, 2, 3, 4] {
-                let pre = StitchedPrecond::build(&g, &shard_of, shards, 0, threads).unwrap();
+                let pre = StitchedPrecond::build(&g, &shard_of, shards, threads).unwrap();
                 if shards == 4 {
                     // Some shard's columns span more than one tile.
                     let widest = pre.coupling.iter().map(|entries| {
@@ -697,7 +683,7 @@ mod tests {
     fn single_shard_has_no_boundary() {
         let (g, _) = two_blocks();
         let shard_of = vec![0u32; g.num_nodes()];
-        let pre = StitchedPrecond::build(&g, &shard_of, 1, 0, 1).unwrap();
+        let pre = StitchedPrecond::build(&g, &shard_of, 1, 1).unwrap();
         assert_eq!(pre.boundary_nodes(), 0);
         let l = g.laplacian();
         let n = g.num_nodes();

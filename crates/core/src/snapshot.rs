@@ -27,13 +27,12 @@ use crate::config::SetupConfig;
 use crate::engine::InGrassEngine;
 use crate::error::InGrassError;
 use crate::ledger::UpdateOp;
-use crate::lrd::LrdHierarchy;
 use crate::precond::SparsifierPrecond;
 use crate::report::{PhaseTimer, UpdateReport};
 use crate::shard::StitchedPrecond;
 use crate::{Result, UpdateConfig};
 use ingrass_graph::{Graph, NodeId};
-use ingrass_linalg::{CsrMatrix, Preconditioner};
+use ingrass_linalg::Preconditioner;
 use ingrass_metrics::ShardStats;
 use std::sync::{Arc, RwLock};
 
@@ -68,22 +67,6 @@ impl SnapshotPrecond {
             SnapshotPrecond::Sharded(p) => p.factor_flops(),
         }
     }
-
-    /// The engine (or coordinator) epoch the factor was built at.
-    pub fn epoch(&self) -> u64 {
-        match self {
-            SnapshotPrecond::Mono(p) => p.epoch(),
-            SnapshotPrecond::Sharded(p) => p.epoch(),
-        }
-    }
-
-    /// The node whose row/column was grounded out (always 0 today).
-    pub fn ground_node(&self) -> usize {
-        match self {
-            SnapshotPrecond::Mono(p) => p.ground_node(),
-            SnapshotPrecond::Sharded(p) => p.ground_node(),
-        }
-    }
 }
 
 impl Preconditioner for SnapshotPrecond {
@@ -109,25 +92,6 @@ impl Preconditioner for SnapshotPrecond {
     }
 }
 
-/// Aggregate resistance statistics of a snapshot's sparsifier, computed
-/// from the hierarchy's `O(log N)` resistance bounds at publish time.
-///
-/// These are the serving-side analogue of the drift tracker: a reader can
-/// judge how much spectral mass its (possibly stale) view carries without
-/// touching the engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResistanceSummary {
-    /// Live sparsifier edges at publish time.
-    pub edges: usize,
-    /// Total sparsifier edge weight.
-    pub total_weight: f64,
-    /// Σ `w·R̂` over all sparsifier edges — the total estimated spectral
-    /// mass (compare against `n − 1`, the value for an ideal sparsifier).
-    pub total_distortion: f64,
-    /// Largest single-edge `w·R̂` contribution.
-    pub max_edge_distortion: f64,
-}
-
 /// An immutable, epoch-tagged view of the sparsifier, published by a
 /// [`SnapshotEngine`] and shared by reference counting.
 ///
@@ -138,21 +102,20 @@ pub struct ResistanceSummary {
 ///   (or an `Arc` to data that is itself frozen for the snapshot's epoch),
 ///   so a snapshot may be read from any number of threads without
 ///   synchronization. The type is `Send + Sync`.
-/// * **Internal consistency** — [`SparsifierSnapshot::graph`],
-///   [`SparsifierSnapshot::laplacian`], and
-///   [`SparsifierSnapshot::preconditioner`] all describe the *same* state
-///   of the sparsifier: the Laplacian is built from the graph, and the
-///   grounded Cholesky factor is exact for that Laplacian — applying the
-///   preconditioner to a consistent right-hand side solves `L_H x = b` in
-///   one shot (PCG against [`SparsifierSnapshot::laplacian`] converges in
-///   ≤ 2 iterations).
+/// * **Internal consistency** — [`SparsifierSnapshot::graph`] and
+///   [`SparsifierSnapshot::preconditioner`] describe the *same* state of
+///   the sparsifier: the factor is exact for the graph's Laplacian `L_H`
+///   — applying the preconditioner to a consistent right-hand side solves
+///   `L_H x = b` in one shot (PCG against `graph().laplacian()` converges
+///   in ≤ 2 iterations).
 /// * **Tagging** — `(instance_id, epoch, version)` equals the owning
 ///   engine's [`crate::InGrassEngine::instance_id`] /
 ///   [`crate::InGrassEngine::epoch`] / [`crate::InGrassEngine::version`]
 ///   at publish time. Snapshots from one engine are totally ordered by
 ///   `version`; `epoch` moves only at re-setups.
 /// * **Checksum** — [`SparsifierSnapshot::checksum`] was computed over the
-///   Laplacian's CSR arrays (plus the tag) at publish time;
+///   tag, the node count, and every edge of the graph (both endpoints and
+///   the weight's bits) at publish time;
 ///   [`SparsifierSnapshot::verify_checksum`] recomputes it. A mismatch
 ///   would mean a torn publish — which the `Arc`-swap protocol makes
 ///   impossible, and the concurrency suites assert exactly that.
@@ -167,10 +130,7 @@ pub struct SparsifierSnapshot {
     version: u64,
     sequence: u64,
     graph: Graph,
-    laplacian: Arc<CsrMatrix>,
     precond: SnapshotPrecond,
-    hierarchy: Arc<LrdHierarchy>,
-    resistance: ResistanceSummary,
     checksum: u64,
 }
 
@@ -184,33 +144,11 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 impl SparsifierSnapshot {
-    /// Builds a snapshot of the engine's current state. `hierarchy` must be
-    /// a clone of the engine's hierarchy at its current epoch, and
-    /// `precond` a factor consistent with the engine's current sparsifier
-    /// (the [`SnapshotEngine`] hands in a clone of the live factor it
-    /// maintains incrementally).
-    fn capture(
-        engine: &InGrassEngine,
-        hierarchy: Arc<LrdHierarchy>,
-        sequence: u64,
-        precond: SparsifierPrecond,
-    ) -> Result<SparsifierSnapshot> {
-        SparsifierSnapshot::assemble(
-            engine.instance_id(),
-            engine.epoch(),
-            engine.version(),
-            sequence,
-            engine.sparsifier_graph(),
-            SnapshotPrecond::Mono(precond),
-            hierarchy,
-        )
-    }
-
     /// Builds a snapshot from already-materialised parts. This is the
     /// publish path shared by [`SnapshotEngine`] (mono factor, engine
     /// tags) and [`crate::ShardedEngine`] (stitched factor, coordinator
     /// tags); `graph` and `precond` must describe the same sparsifier
-    /// state, and `hierarchy` the epoch's decomposition.
+    /// state.
     pub(crate) fn assemble(
         instance_id: u64,
         epoch: u64,
@@ -218,60 +156,32 @@ impl SparsifierSnapshot {
         sequence: u64,
         graph: Graph,
         precond: SnapshotPrecond,
-        hierarchy: Arc<LrdHierarchy>,
-    ) -> Result<SparsifierSnapshot> {
-        let laplacian = Arc::new(graph.laplacian());
-
-        let mut total_weight = 0.0;
-        let mut total_distortion = 0.0;
-        let mut max_edge_distortion = 0.0f64;
-        for e in graph.edges() {
-            total_weight += e.weight;
-            let r = hierarchy.resistance_bound(e.u, e.v);
-            if r.is_finite() {
-                let d = e.weight * r;
-                total_distortion += d;
-                max_edge_distortion = max_edge_distortion.max(d);
-            }
-        }
-        let resistance = ResistanceSummary {
-            edges: graph.num_edges(),
-            total_weight,
-            total_distortion,
-            max_edge_distortion,
-        };
-
+    ) -> SparsifierSnapshot {
         let mut snap = SparsifierSnapshot {
             instance_id,
             epoch,
             version,
             sequence,
             graph,
-            laplacian,
             precond,
-            hierarchy,
-            resistance,
             checksum: 0,
         };
         snap.checksum = snap.compute_checksum();
-        Ok(snap)
+        snap
     }
 
-    /// Checksum over the Laplacian CSR arrays and the snapshot tag.
+    /// Checksum over the snapshot tag, the node count, and every edge of
+    /// the graph: both endpoints as `u32`, then the weight's bits.
     fn compute_checksum(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         h = fnv1a(h, &self.instance_id.to_le_bytes());
         h = fnv1a(h, &self.epoch.to_le_bytes());
         h = fnv1a(h, &self.version.to_le_bytes());
-        h = fnv1a(h, &(self.laplacian.n_rows() as u64).to_le_bytes());
-        for r in 0..self.laplacian.n_rows() {
-            let (cols, vals) = self.laplacian.row(r);
-            for &c in cols {
-                h = fnv1a(h, &c.to_le_bytes());
-            }
-            for &v in vals {
-                h = fnv1a(h, &v.to_bits().to_le_bytes());
-            }
+        h = fnv1a(h, &(self.graph.num_nodes() as u64).to_le_bytes());
+        for e in self.graph.edges() {
+            h = fnv1a(h, &(e.u.index() as u32).to_le_bytes());
+            h = fnv1a(h, &(e.v.index() as u32).to_le_bytes());
+            h = fnv1a(h, &e.weight.to_bits().to_le_bytes());
         }
         h
     }
@@ -309,17 +219,6 @@ impl SparsifierSnapshot {
         &self.graph
     }
 
-    /// The sparsifier Laplacian `L_H` in CSR form.
-    pub fn laplacian(&self) -> &CsrMatrix {
-        &self.laplacian
-    }
-
-    /// The Laplacian by shared handle — for callers (queues, services) that
-    /// outlive the borrow.
-    pub fn laplacian_arc(&self) -> Arc<CsrMatrix> {
-        Arc::clone(&self.laplacian)
-    }
-
     /// The exact factorisation of `L_H` — one grounded Cholesky factor for
     /// a [`SnapshotEngine`] publish, or a Schur-stitched block factor for a
     /// [`crate::ShardedEngine`] publish. Either way it solves this
@@ -327,18 +226,6 @@ impl SparsifierSnapshot {
     /// graph's Laplacian identically.
     pub fn preconditioner(&self) -> &SnapshotPrecond {
         &self.precond
-    }
-
-    /// Aggregate resistance statistics captured at publish time.
-    pub fn resistance_summary(&self) -> &ResistanceSummary {
-        &self.resistance
-    }
-
-    /// The hierarchy's `O(log N)` effective-resistance upper bound between
-    /// two nodes — the same estimate the update phase ranks insertions by,
-    /// served from the frozen epoch without touching the engine.
-    pub fn resistance_bound(&self, u: NodeId, v: NodeId) -> f64 {
-        self.hierarchy.resistance_bound(u, v)
     }
 
     /// *Exact* effective resistance between `u` and `v` in this snapshot's
@@ -363,7 +250,7 @@ impl SparsifierSnapshot {
         x[u.index()] - x[v.index()]
     }
 
-    /// The checksum computed over the Laplacian CSR arrays at publish time.
+    /// The checksum computed over the tag and the graph at publish time.
     pub fn checksum(&self) -> u64 {
         self.checksum
     }
@@ -385,9 +272,9 @@ pub struct PublishReport {
     pub version: u64,
     /// Publish sequence number ([`SparsifierSnapshot::sequence`]).
     pub sequence: u64,
-    /// Wall seconds spent building the snapshot (graph freeze + Laplacian
-    /// assembly + factor maintenance + resistance summary) — the
-    /// publish latency perfbench reports as `snapshot.publish_s`.
+    /// Wall seconds spent building the snapshot (factor maintenance +
+    /// graph freeze + checksum + factor clone) — the publish latency
+    /// perfbench reports as `snapshot.publish_s`.
     pub publish_seconds: f64,
     /// Stored entries of the snapshot's Cholesky factor.
     pub factor_nnz: usize,
@@ -395,17 +282,9 @@ pub struct PublishReport {
     /// (`Σ` column-nnz²) — the cost model the `serve/<case>` flat-trend
     /// gate normalizes publish latency by.
     pub factor_flops: f64,
-    /// Live sparsifier edges in the snapshot.
-    pub edges: usize,
     /// Whether this publish patched the live factor with rank-1
     /// up/downdates (`true`) instead of refactorizing from scratch.
     pub factor_updated: bool,
-    /// Cumulative incremental factor patches over the engine's lifetime.
-    pub factor_updates: u64,
-    /// Cumulative factor rebuilds over the engine's lifetime (includes the
-    /// initial build at setup, epoch changes, fill-budget and numerical
-    /// fallbacks, and the periodic drift-bounding rebuild).
-    pub factor_refactors: u64,
     /// Per-shard work statistics for a [`crate::ShardedEngine`] publish;
     /// `None` for the single-engine [`SnapshotEngine`].
     pub shard: Option<ShardStats>,
@@ -607,10 +486,6 @@ impl SnapshotReader {
 #[derive(Debug)]
 pub struct SnapshotEngine {
     engine: InGrassEngine,
-    /// The current epoch's hierarchy, cloned out of the engine once per
-    /// epoch so every snapshot of the epoch shares one allocation.
-    hierarchy: Arc<LrdHierarchy>,
-    hierarchy_epoch: u64,
     cell: Arc<SnapshotCell>,
     sequence: u64,
     /// The live factor, patched in place across ordinary publishes and
@@ -641,17 +516,20 @@ impl SnapshotEngine {
     /// Propagates preconditioner extraction failure (cannot happen while
     /// the engine's connectivity invariant holds).
     pub fn from_engine(mut engine: InGrassEngine) -> Result<Self> {
-        let hierarchy = Arc::new(engine.hierarchy().clone());
-        let hierarchy_epoch = engine.epoch();
         // Deltas journaled before the wrap describe mutations the fresh
         // factor build below already sees — drop them.
         let _ = engine.take_edge_deltas();
         let factor = engine.preconditioner()?;
-        let snap = SparsifierSnapshot::capture(&engine, Arc::clone(&hierarchy), 1, factor.clone())?;
+        let snap = SparsifierSnapshot::assemble(
+            engine.instance_id(),
+            engine.epoch(),
+            engine.version(),
+            1,
+            engine.sparsifier_graph(),
+            SnapshotPrecond::Mono(factor.clone()),
+        );
         Ok(SnapshotEngine {
             engine,
-            hierarchy,
-            hierarchy_epoch,
             cell: Arc::new(SnapshotCell::new(Arc::new(snap))),
             sequence: 1,
             factor,
@@ -782,10 +660,6 @@ impl SnapshotEngine {
     /// sparsifier — cannot happen while engine invariants hold).
     pub fn publish(&mut self) -> Result<PublishReport> {
         let timer = PhaseTimer::start();
-        if self.hierarchy_epoch != self.engine.epoch() {
-            self.hierarchy = Arc::new(self.engine.hierarchy().clone());
-            self.hierarchy_epoch = self.engine.epoch();
-        }
         let deltas = self.engine.take_edge_deltas();
         let policy = self.factor_policy;
         let same_epoch = self.factor.epoch() == self.engine.epoch();
@@ -832,15 +706,18 @@ impl SnapshotEngine {
             self.factor_refactors += 1;
             self.updates_since_refactor = 0;
         }
-        // The counter moves only on success: a failed capture must leave
-        // publishes()/sequence untouched (no skipped sequence numbers).
-        let snap = Arc::new(SparsifierSnapshot::capture(
-            &self.engine,
-            Arc::clone(&self.hierarchy),
-            self.sequence + 1,
-            self.factor.clone(),
-        )?);
+        // The counter moves only once the factor is in hand: a failed
+        // rebuild above leaves publishes()/sequence untouched (no skipped
+        // sequence numbers).
         self.sequence += 1;
+        let snap = Arc::new(SparsifierSnapshot::assemble(
+            self.engine.instance_id(),
+            self.engine.epoch(),
+            self.engine.version(),
+            self.sequence,
+            self.engine.sparsifier_graph(),
+            SnapshotPrecond::Mono(self.factor.clone()),
+        ));
         let report = PublishReport {
             epoch: snap.epoch(),
             version: snap.version(),
@@ -848,10 +725,7 @@ impl SnapshotEngine {
             publish_seconds: timer.total().as_secs_f64(),
             factor_nnz: snap.preconditioner().factor_nnz(),
             factor_flops: snap.preconditioner().factor_flops(),
-            edges: snap.resistance_summary().edges,
             factor_updated,
-            factor_updates: self.factor_updates,
-            factor_refactors: self.factor_refactors,
             shard: None,
         };
         self.cell.store(snap);
@@ -904,18 +778,16 @@ impl SnapshotEngine {
                 engine.sparsifier().num_nodes()
             )));
         }
-        let hierarchy = Arc::new(engine.hierarchy().clone());
-        let hierarchy_epoch = engine.epoch();
-        let snap = SparsifierSnapshot::capture(
-            &engine,
-            Arc::clone(&hierarchy),
+        let snap = SparsifierSnapshot::assemble(
+            engine.instance_id(),
+            engine.epoch(),
+            engine.version(),
             state.sequence,
-            factor.clone(),
-        )?;
+            engine.sparsifier_graph(),
+            SnapshotPrecond::Mono(factor.clone()),
+        );
         Ok(SnapshotEngine {
             engine,
-            hierarchy,
-            hierarchy_epoch,
             cell: Arc::new(SnapshotCell::new(Arc::new(snap))),
             sequence: state.sequence,
             factor,
@@ -964,11 +836,7 @@ mod tests {
         assert_eq!(snap.num_nodes(), 20);
         assert_eq!(snap.graph().num_edges(), h0.num_edges());
         assert!(snap.verify_checksum());
-        let rs = snap.resistance_summary();
-        assert_eq!(rs.edges, h0.num_edges());
-        assert!((rs.total_weight - h0.total_weight()).abs() < 1e-9);
-        assert!(rs.total_distortion > 0.0);
-        assert!(rs.max_edge_distortion <= rs.total_distortion);
+        assert!((snap.graph().total_weight() - h0.total_weight()).abs() < 1e-9);
     }
 
     #[test]
@@ -983,7 +851,7 @@ mod tests {
         let ones = vec![1.0; n];
         let mut x = vec![0.0; n];
         let res = pcg(
-            snap.laplacian(),
+            &snap.graph().laplacian(),
             &b,
             &mut x,
             snap.preconditioner(),
@@ -1003,7 +871,42 @@ mod tests {
         assert!((snap.effective_resistance(0.into(), 3.into()) - 3.0).abs() < 1e-9);
         assert!((snap.effective_resistance(0.into(), 1.into()) - 1.0).abs() < 1e-9);
         assert_eq!(snap.effective_resistance(2.into(), 2.into()), 0.0);
-        assert!(snap.resistance_bound(0.into(), 3.into()) >= 3.0 - 1e-9);
+        assert!(
+            engine
+                .engine()
+                .hierarchy()
+                .resistance_bound(0.into(), 3.into())
+                >= 3.0 - 1e-9
+        );
+    }
+
+    #[test]
+    fn checksum_covers_every_endpoint_and_weight_bit() {
+        let precond = |g: &Graph| {
+            let engine = SnapshotEngine::setup(g, &SetupConfig::default()).unwrap();
+            engine.snapshot().preconditioner().clone()
+        };
+        let snap = |edges: &[(usize, usize, f64)]| {
+            let g = Graph::from_edges(5, edges).unwrap();
+            let p = precond(&g);
+            SparsifierSnapshot::assemble(7, 1, 3, 2, g, p)
+        };
+        let base = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0), (3, 4, 1.5)];
+        // One weight's lowest mantissa bit.
+        let mut weight = base;
+        weight[2].2 = f64::from_bits(2.0f64.to_bits() ^ 1);
+        // One endpoint of one edge, each side in turn.
+        let mut first = base;
+        first[3].0 = 2;
+        let mut second = base;
+        second[1].1 = 3;
+        let a = snap(&base);
+        assert!(a.verify_checksum());
+        for other in [&weight, &first, &second] {
+            let b = snap(other);
+            assert!(b.verify_checksum());
+            assert_ne!(a.checksum(), b.checksum(), "{other:?}");
+        }
     }
 
     #[test]

@@ -211,7 +211,7 @@ struct Inner {
 /// let snap = engine.snapshot();
 /// // Serve against the snapshot's own Laplacian (resistance workload);
 /// // production pairs the snapshot with the original graph's Laplacian.
-/// let lap = snap.laplacian_arc();
+/// let lap = Arc::new(snap.graph().laplacian());
 ///
 /// let service = ConcurrentSolveService::new(SolveConfig::default());
 /// let t = service.submit(&snap, &lap, vec![1.0, 0.0, 0.0, -1.0])?;
@@ -532,7 +532,7 @@ mod tests {
     fn same_snapshot_requests_coalesce_into_one_group() {
         let engine = SnapshotEngine::setup(&ring(16), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let svc = ConcurrentSolveService::new(SolveConfig::default());
         let t0 = svc.submit(&snap, &lap, pair_rhs(16, 0, 8)).unwrap();
         let t1 = svc.submit(&snap, &lap, pair_rhs(16, 1, 9)).unwrap();
@@ -555,7 +555,7 @@ mod tests {
     fn distinct_snapshots_are_grouped_apart_and_tagged() {
         let mut engine = SnapshotEngine::setup(&ring(16), &SetupConfig::default()).unwrap();
         let old = engine.snapshot();
-        let old_lap = old.laplacian_arc();
+        let old_lap = Arc::new(old.graph().laplacian());
         engine
             .apply_batch(
                 &[UpdateOp::Insert {
@@ -567,7 +567,7 @@ mod tests {
             )
             .unwrap();
         let new = engine.snapshot();
-        let new_lap = new.laplacian_arc();
+        let new_lap = Arc::new(new.graph().laplacian());
         assert!(new.version() > old.version());
 
         let svc = ConcurrentSolveService::new(SolveConfig::default());
@@ -589,7 +589,7 @@ mod tests {
     fn drain_results_are_deterministic_at_any_width() {
         let engine = SnapshotEngine::setup(&ring(20), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let run = |threads: Option<usize>| {
             let svc = ConcurrentSolveService::new(SolveConfig {
                 threads,
@@ -614,7 +614,7 @@ mod tests {
     fn dimension_mismatches_are_rejected_at_submission() {
         let engine = SnapshotEngine::setup(&ring(12), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let svc = ConcurrentSolveService::new(SolveConfig::default());
         assert!(matches!(
             svc.submit(&snap, &lap, vec![1.0, -1.0]),
@@ -638,7 +638,7 @@ mod tests {
     fn non_finite_rhs_is_rejected_before_admission() {
         let engine = SnapshotEngine::setup(&ring(12), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let svc = ConcurrentSolveService::new(SolveConfig::default());
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut b = pair_rhs(12, 0, 6);
@@ -810,7 +810,7 @@ mod tests {
     fn panicking_drain_restores_every_request() {
         let mut engine = SnapshotEngine::setup(&ring(16), &SetupConfig::default()).unwrap();
         let old = engine.snapshot();
-        let old_lap = old.laplacian_arc();
+        let old_lap = Arc::new(old.graph().laplacian());
         engine
             .apply_batch(
                 &[UpdateOp::Insert {
@@ -822,7 +822,7 @@ mod tests {
             )
             .unwrap();
         let new = engine.snapshot();
-        let new_lap = new.laplacian_arc();
+        let new_lap = Arc::new(new.graph().laplacian());
 
         let svc = ConcurrentSolveService::new(SolveConfig::default());
         svc.submit(&old, &old_lap, pair_rhs(16, 0, 8)).unwrap();
@@ -864,7 +864,7 @@ mod tests {
         // re-panics on the caller either way.
         let engine = SnapshotEngine::setup(&ring(16), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let svc = ConcurrentSolveService::new(SolveConfig {
             threads: Some(1),
             ..Default::default()
@@ -930,7 +930,7 @@ mod tests {
             let publish = report.publish.expect("non-empty batch must publish");
             patched_publishes += usize::from(publish.factor_updated);
             let snap = engine.snapshot();
-            let lap = snap.laplacian_arc();
+            let lap = Arc::new(snap.graph().laplacian());
             svc.submit(&snap, &lap, pair_rhs(24, step, (step + 12) % 24))
                 .unwrap();
             let round = svc.drain();
@@ -956,7 +956,7 @@ mod tests {
     fn queue_cap_rejects_flood_without_queueing() {
         let engine = SnapshotEngine::setup(&ring(16), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let svc = ConcurrentSolveService::new(SolveConfig {
             max_pending: Some(8),
             ..Default::default()
@@ -1005,7 +1005,7 @@ mod tests {
                 )
                 .unwrap();
             let snap = engine.snapshot();
-            let lap = snap.laplacian_arc();
+            let lap = Arc::new(snap.graph().laplacian());
             snaps.push((snap, lap));
         }
         // Two submissions per snapshot, interleaved so coalescing cannot
@@ -1029,7 +1029,7 @@ mod tests {
     fn pending_counter_tracks_submit_and_drain() {
         let engine = SnapshotEngine::setup(&ring(16), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let svc = ConcurrentSolveService::new(SolveConfig::default());
         assert_eq!(svc.pending(), 0);
         for k in 1..=5 {
@@ -1051,7 +1051,7 @@ mod tests {
     fn concurrent_submissions_all_get_answered() {
         let engine = SnapshotEngine::setup(&ring(20), &SetupConfig::default()).unwrap();
         let snap = engine.snapshot();
-        let lap = snap.laplacian_arc();
+        let lap = Arc::new(snap.graph().laplacian());
         let svc = ConcurrentSolveService::new(SolveConfig::default());
         std::thread::scope(|s| {
             for t in 0..4 {

@@ -9,9 +9,13 @@
 //! that sparsifier, and a `ConcurrentSolveService` answers each batch's
 //! requests with PCG preconditioned by the newest snapshot's factor:
 //!
-//! * each publish either **patches** the previous factor with rank-1
-//!   up/downdates or **refactors** it, as the engine's `FactorPolicy`
-//!   decides from the batch size;
+//! * every publish here **refactors** the factor: each churn batch (115
+//!   ops) is far above `FactorPolicy::max_patch_fraction` (0.002) of the
+//!   4 050 nodes, and bulk churn takes the refactor tiers — a numeric
+//!   refactorization under the cached ordering, or a full rebuild when
+//!   the epoch moves. The rank-1 patch tier serves near-single-op edits;
+//!   perfbench's `serve-edit` workload and
+//!   `crates/core/tests/factor_maintenance.rs` exercise it;
 //! * when accumulated churn trips the drift policy, the engine re-runs
 //!   setup inside the batch, the epoch moves, and that batch's publish
 //!   rebuilds the factor for the new epoch.

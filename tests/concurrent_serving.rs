@@ -110,8 +110,8 @@ fn four_readers_solve_while_writer_replays_200_churn_batches() {
                 let mut k = 0u64;
                 loop {
                     let ServedState { snap, lap } = state.lock().unwrap().clone();
-                    // Torn-snapshot check: the CSR arrays still hash to the
-                    // checksum computed at publish time.
+                    // Torn-snapshot check: the tag and the graph's edges
+                    // still hash to the checksum computed at publish time.
                     if !snap.verify_checksum() {
                         torn.fetch_add(1, Ordering::Relaxed);
                     }

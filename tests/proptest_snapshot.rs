@@ -45,7 +45,7 @@ fn assert_snapshot_self_consistent(snap: &SparsifierSnapshot) {
     let ones = vec![1.0; n];
     let mut x = vec![0.0; n];
     let res = pcg(
-        snap.laplacian(),
+        &snap.graph().laplacian(),
         &b,
         &mut x,
         snap.preconditioner(),

@@ -125,7 +125,7 @@ fn snapshot_factor_needs_no_more_iterations_than_jacobi_or_tree_pcg() {
             results(&round)
         );
 
-        let jacobi = JacobiPrecond::from_matrix(snap.laplacian());
+        let jacobi = JacobiPrecond::from_matrix(&snap.graph().laplacian());
         let tree = kruskal_tree(snap.graph(), TreeObjective::MaxWeight).expect("spanning tree");
         let tree = TreePrecond::new(&tree.tree);
         let fallbacks: [(&str, &dyn Preconditioner); 2] = [("jacobi", &jacobi), ("tree", &tree)];
